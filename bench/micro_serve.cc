@@ -426,8 +426,7 @@ main(int argc, char **argv)
                 return 1;
             }
             const std::string label = util::format(
-                "reactors=%d threads=%d%s", reactors, threads,
-                server.usingReusePort() ? "" : " (single listener)");
+                "reactors=%d threads=%d", reactors, threads);
             if (!runIdentityAndReloadGates(server, mix, expected,
                                            reload_path, label))
                 identity_ok = false;

@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <poll.h>
@@ -16,7 +17,6 @@
 #include "serve/net.h"
 #include "util/logging.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace ceer {
 namespace serve {
@@ -78,8 +78,7 @@ Server::Server(core::CeerModel model, cloud::InstanceCatalog catalog,
     : options_(std::move(options)),
       candidates_(catalog.instances()),
       engine_(std::make_shared<const Engine>(std::move(model), 1)),
-      planCache_(options_.planCacheCapacity, options_.planCacheShards),
-      inlineExecute_(options_.sweepThreads == 1)
+      planCache_(options_.planCacheCapacity, options_.planCacheShards)
 {
 }
 
@@ -114,8 +113,9 @@ Server::tryStart(std::string *error)
         reactors_.back()->index = static_cast<std::size_t>(i);
     }
     const auto cleanup = [this] {
+        closeFd(listenFd_);
+        listenFd_ = -1;
         for (auto &reactor : reactors_) {
-            closeFd(reactor->listenFd);
             closeFd(reactor->wakeRead);
             closeFd(reactor->wakeWrite);
         }
@@ -142,55 +142,17 @@ Server::tryStart(std::string *error)
         }
     }
 
-    // Accept sharding: one SO_REUSEPORT listener per reactor, the
-    // kernel spreads connections. If any bind fails (no SO_REUSEPORT,
-    // exotic kernel), fall back to a single listener on reactor 0
-    // that distributes accepted fds round-robin.
-    singleListener_ = true;
-    if (reactor_count > 1 && options_.reusePort) {
-        bool all_bound = true;
-        std::string rp_error;
-        for (int i = 0; i < reactor_count; ++i) {
-            const int bind_port = i == 0 ? options_.port : port_;
-            const int fd =
-                listenTcp(options_.host, bind_port, options_.backlog,
-                          &port_, &rp_error, /*reuse_port=*/true);
-            if (fd < 0) {
-                all_bound = false;
-                break;
-            }
-            if (!setNonBlocking(fd, &rp_error)) {
-                closeFd(fd);
-                all_bound = false;
-                break;
-            }
-            reactors_[static_cast<std::size_t>(i)]->listenFd = fd;
-        }
-        if (all_bound) {
-            singleListener_ = false;
-        } else {
-            for (auto &reactor : reactors_) {
-                closeFd(reactor->listenFd);
-                reactor->listenFd = -1;
-            }
-        }
+    listenFd_ = listenTcp(options_.host, options_.port,
+                          options_.backlog, &port_, error);
+    if (listenFd_ < 0) {
+        cleanup();
+        return false;
     }
-    if (singleListener_) {
-        const int fd =
-            listenTcp(options_.host, options_.port, options_.backlog,
-                      &port_, error);
-        if (fd < 0) {
-            cleanup();
-            return false;
-        }
-        if (!setNonBlocking(fd, &nb_error)) {
-            closeFd(fd);
-            if (error)
-                *error = nb_error;
-            cleanup();
-            return false;
-        }
-        reactors_[0]->listenFd = fd;
+    if (!setNonBlocking(listenFd_, &nb_error)) {
+        if (error)
+            *error = nb_error;
+        cleanup();
+        return false;
     }
 
     started_ = true;
@@ -210,19 +172,14 @@ Server::stop()
     stopping_ = true;
     for (auto &reactor : reactors_)
         wake(*reactor);
+    // Requests execute on their reactor, so once every reactor has
+    // joined, every admitted request has been answered.
     for (auto &reactor : reactors_)
         if (reactor->thread.joinable())
             reactor->thread.join();
-    {
-        // Pool-mode requests finish on the shared pool; their
-        // sessions stay alive through the workers' shared_ptrs even
-        // though the reactors dropped their session maps on exit.
-        // (Inline requests completed before their reactor joined.)
-        std::unique_lock<std::mutex> lock(drainMutex_);
-        drainCv_.wait(lock, [this] { return activeTasks_ == 0; });
-    }
+    closeFd(listenFd_);
+    listenFd_ = -1;
     for (auto &reactor : reactors_) {
-        closeFd(reactor->listenFd);
         closeFd(reactor->wakeRead);
         closeFd(reactor->wakeWrite);
     }
@@ -268,13 +225,12 @@ Server::adoptSession(Reactor &reactor, int fd)
         closeFd(fd);
         return;
     }
-    auto session = std::make_shared<Session>();
-    session->fd = fd;
-    session->reactorIndex = reactor.index;
-    session->lastActivity = std::chrono::steady_clock::now();
-    session->id =
+    const std::uint64_t id =
         nextSessionId_.fetch_add(1, std::memory_order_relaxed);
-    reactor.sessions.emplace(session->id, std::move(session));
+    Session &session = reactor.sessions.try_emplace(id).first->second;
+    session.id = id;
+    session.fd = fd;
+    session.lastActivity = std::chrono::steady_clock::now();
     OBS_COUNTER_INC("serve.connections");
 }
 
@@ -283,72 +239,36 @@ Server::reactorLoop(Reactor &reactor)
 {
     // Everything below is hoisted so a steady-state iteration reuses
     // capacity instead of allocating.
-    std::vector<std::pair<std::uint64_t, bool>> rearm;
     std::vector<int> inbox;
-    std::vector<std::shared_ptr<Session>> pending;
     std::vector<pollfd> fds;
-    std::vector<std::shared_ptr<Session>> polled;
+    std::vector<Session *> polled;
+    const bool accepts = reactor.index == 0;
     while (true) {
-        // Re-arm sessions whose worker finished since the last pass
-        // (pool mode) and adopt fds handed over by reactor 0
-        // (single-listener mode).
-        rearm.clear();
+        // Adopt the fds reactor 0 dealt to this reactor.
         inbox.clear();
-        pending.clear();
         {
             std::lock_guard<std::mutex> lock(reactor.mutex);
-            rearm.swap(reactor.rearm);
             inbox.swap(reactor.inbox);
-        }
-        for (const auto &[id, close] : rearm) {
-            auto it = reactor.sessions.find(id);
-            if (it == reactor.sessions.end())
-                continue;
-            Session &session = *it->second;
-            if (close) {
-                reactor.sessions.erase(it);
-                continue;
-            }
-            // The worker decoded the frame in place; drop it now that
-            // the session is back under reactor control.
-            if (session.pendingEraseBytes > 0) {
-                session.inBuf.erase(0, session.pendingEraseBytes);
-                session.pendingEraseBytes = 0;
-            }
-            session.inFlight = false;
-            session.lastActivity = std::chrono::steady_clock::now();
-            if (!session.inBuf.empty())
-                pending.push_back(it->second);
         }
         for (const int fd : inbox)
             adoptSession(reactor, fd);
-        // A client that pipelined its next request before the reply
-        // already has it buffered; parse it now rather than waiting
-        // for more socket data.
-        for (const auto &session : pending) {
-            if (!processSession(reactor, session))
-                reactor.sessions.erase(session->id);
-        }
         if (stopping_.load())
             break;
 
         fds.clear();
         polled.clear();
         fds.push_back(pollfd{reactor.wakeRead, POLLIN, 0});
-        if (reactor.listenFd >= 0)
-            fds.push_back(pollfd{reactor.listenFd, POLLIN, 0});
+        if (accepts)
+            fds.push_back(pollfd{listenFd_, POLLIN, 0});
         const std::size_t fixed = fds.size();
         int timeout_ms = -1;
         const auto now = std::chrono::steady_clock::now();
-        for (const auto &[id, session] : reactor.sessions) {
-            if (session->inFlight)
-                continue;
-            fds.push_back(pollfd{session->fd, POLLIN, 0});
-            polled.push_back(session);
-            if (options_.readTimeoutMs > 0 &&
-                !session->inBuf.empty()) {
+        for (auto &[id, session] : reactor.sessions) {
+            fds.push_back(pollfd{session.fd, POLLIN, 0});
+            polled.push_back(&session);
+            if (options_.readTimeoutMs > 0 && !session.inBuf.empty()) {
                 const auto deadline =
-                    session->lastActivity +
+                    session.lastActivity +
                     std::chrono::milliseconds(options_.readTimeoutMs);
                 const auto remaining =
                     std::chrono::duration_cast<
@@ -376,65 +296,59 @@ Server::reactorLoop(Reactor &reactor)
             }
         }
 
-        if (reactor.listenFd >= 0 && (fds[1].revents & POLLIN)) {
+        if (accepts && (fds[1].revents & POLLIN)) {
             while (true) {
                 bool again = false;
                 std::string accept_error;
-                const int fd = acceptRetry(reactor.listenFd, &again,
-                                           &accept_error);
+                const int fd =
+                    acceptRetry(listenFd_, &again, &accept_error);
                 if (fd < 0)
                     break;
-                if (singleListener_ && reactors_.size() > 1) {
-                    // Reactor 0 owns the only listener: spread
-                    // accepted connections round-robin.
-                    const std::size_t target =
-                        nextReactorRR_++ % reactors_.size();
-                    if (target != reactor.index) {
-                        Reactor &peer = *reactors_[target];
-                        {
-                            std::lock_guard<std::mutex> lock(
-                                peer.mutex);
-                            peer.inbox.push_back(fd);
-                        }
-                        wake(peer);
-                        continue;
-                    }
+                // Deal accepted connections round-robin.
+                const std::size_t target =
+                    nextReactorRR_++ % reactors_.size();
+                if (target == reactor.index) {
+                    adoptSession(reactor, fd);
+                    continue;
                 }
-                adoptSession(reactor, fd);
+                Reactor &peer = *reactors_[target];
+                {
+                    std::lock_guard<std::mutex> lock(peer.mutex);
+                    peer.inbox.push_back(fd);
+                }
+                wake(peer);
             }
         }
 
         for (std::size_t i = 0; i < polled.size(); ++i) {
             const pollfd &entry = fds[fixed + i];
-            const std::shared_ptr<Session> &session = polled[i];
-            if (session->inFlight)
-                continue; // Admitted by the pipelined-parse pass.
+            Session &session = *polled[i];
             bool keep = true;
             if (entry.revents & (POLLIN | POLLHUP | POLLERR))
                 keep = readSession(reactor, session);
             if (keep && options_.readTimeoutMs > 0 &&
-                !session->inBuf.empty() && !session->inFlight) {
-                const auto stalled =
-                    std::chrono::steady_clock::now() -
-                    session->lastActivity;
+                !session.inBuf.empty()) {
+                const auto stalled = std::chrono::steady_clock::now() -
+                                     session.lastActivity;
                 if (stalled > std::chrono::milliseconds(
                                   options_.readTimeoutMs)) {
                     sendTypedError(
-                        session->fd, errc::kReadTimeout,
+                        session.fd, errc::kReadTimeout,
                         "frame not completed within read timeout");
                     keep = false;
                 }
             }
-            if (!keep)
-                reactor.sessions.erase(session->id);
+            if (!keep) {
+                const std::uint64_t id = session.id;
+                reactor.sessions.erase(id);
+            }
         }
     }
 
-    // Shutdown: drop every session this reactor owns. Idle
-    // connections close here (their destructor closes the fd);
-    // pool-mode in-flight ones live on until their worker replies.
+    // Shutdown: every request this reactor admitted has been answered;
+    // close the idle connections (the Session destructor closes the
+    // fd) and any dealt fds that never became sessions.
     reactor.sessions.clear();
-    // Close any handed-over fds that never became sessions.
     inbox.clear();
     {
         std::lock_guard<std::mutex> lock(reactor.mutex);
@@ -445,15 +359,14 @@ Server::reactorLoop(Reactor &reactor)
 }
 
 bool
-Server::readSession(Reactor &reactor,
-                    const std::shared_ptr<Session> &session)
+Server::readSession(Reactor &reactor, Session &session)
 {
     char chunk[65536];
     bool got_data = false;
     while (true) {
-        const ssize_t n = ::recv(session->fd, chunk, sizeof chunk, 0);
+        const ssize_t n = ::recv(session.fd, chunk, sizeof chunk, 0);
         if (n > 0) {
-            session->inBuf.append(chunk, static_cast<std::size_t>(n));
+            session.inBuf.append(chunk, static_cast<std::size_t>(n));
             got_data = true;
             continue;
         }
@@ -466,20 +379,23 @@ Server::readSession(Reactor &reactor,
         return false;
     }
     if (got_data)
-        session->lastActivity = std::chrono::steady_clock::now();
+        session.lastActivity = std::chrono::steady_clock::now();
     return processSession(reactor, session);
 }
 
 bool
-Server::processSession(Reactor &reactor,
-                       const std::shared_ptr<Session> &session)
+Server::processSession(Reactor &reactor, Session &session)
 {
-    while (session->inBuf.size() >= kFrameHeaderBytes) {
+    // Frames are walked by offset and the consumed prefix is erased
+    // once per call, so a pipelined burst costs linear, not quadratic,
+    // buffer movement.
+    std::size_t consumed = 0;
+    while (session.inBuf.size() - consumed >= kFrameHeaderBytes) {
+        const char *frame = session.inBuf.data() + consumed;
         FrameHeader header;
         std::string decode_error;
-        if (!decodeFrameHeader(session->inBuf.data(), &header,
-                               &decode_error)) {
-            sendTypedError(session->fd, errc::kBadFrame, decode_error);
+        if (!decodeFrameHeader(frame, &header, &decode_error)) {
+            sendTypedError(session.fd, errc::kBadFrame, decode_error);
             return false;
         }
         // Length check straight off the header: a hostile length
@@ -487,7 +403,7 @@ Server::processSession(Reactor &reactor,
         // or allocated.
         if (header.payloadBytes > options_.maxPayloadBytes) {
             sendTypedError(
-                session->fd, errc::kPayloadTooLarge,
+                session.fd, errc::kPayloadTooLarge,
                 util::format("payload of %u bytes exceeds limit %zu",
                              header.payloadBytes,
                              options_.maxPayloadBytes));
@@ -495,16 +411,28 @@ Server::processSession(Reactor &reactor,
         }
         const std::size_t frame_bytes =
             kFrameHeaderBytes + header.payloadBytes;
-        if (session->inBuf.size() < frame_bytes)
-            return true; // Wait for the rest of the frame.
-        // The payload is decoded IN PLACE from the input buffer (it
-        // sits at offset 24, which keeps CBF's 8-byte alignment); the
-        // frame is erased only after it has been fully handled.
-        const char *payload =
-            session->inBuf.data() + kFrameHeaderBytes;
+        if (session.inBuf.size() - consumed < frame_bytes)
+            break; // Wait for the rest of the frame.
+        // The payload is decoded IN PLACE from the input buffer. CBF's
+        // view parse needs 8-byte-aligned columns, and payloads are not
+        // padded at their end, so a payload that follows an odd-sized
+        // frame is copied into aligned reactor scratch first.
+        const char *payload = frame + kFrameHeaderBytes;
+        if (header.payloadBytes > 0 &&
+            reinterpret_cast<std::uintptr_t>(payload) %
+                    alignof(std::uint64_t) !=
+                0) {
+            reactor.alignedPayload.resize(
+                (header.payloadBytes + sizeof(std::uint64_t) - 1) /
+                sizeof(std::uint64_t));
+            std::memcpy(reactor.alignedPayload.data(), payload,
+                        header.payloadBytes);
+            payload = reinterpret_cast<const char *>(
+                reactor.alignedPayload.data());
+        }
         if (io::xxhash64(payload, header.payloadBytes) !=
             header.checksum) {
-            sendTypedError(session->fd, errc::kChecksumMismatch,
+            sendTypedError(session.fd, errc::kChecksumMismatch,
                            "payload checksum mismatch");
             return false;
         }
@@ -515,10 +443,10 @@ Server::processSession(Reactor &reactor,
             static const std::string pong =
                 buildFrame(FrameType::Pong, "");
             std::string send_error;
-            if (!sendAll(session->fd, pong.data(), pong.size(),
+            if (!sendAll(session.fd, pong.data(), pong.size(),
                          &send_error))
                 return false;
-            session->inBuf.erase(0, frame_bytes);
+            consumed += frame_bytes;
             continue;
           }
           case FrameType::Request:
@@ -527,7 +455,7 @@ Server::processSession(Reactor &reactor,
                 options_.maxQueueDepth) {
                 // Explicit backpressure: the client sees a typed
                 // `overloaded` reply, never a silent drop.
-                sendTypedError(session->fd, errc::kOverloaded,
+                sendTypedError(session.fd, errc::kOverloaded,
                                util::format(
                                    "admission queue full (depth %zu)",
                                    options_.maxQueueDepth));
@@ -537,56 +465,33 @@ Server::processSession(Reactor &reactor,
                 inFlight_.fetch_add(1, std::memory_order_relaxed) + 1;
             OBS_GAUGE_SET("serve.queue_depth",
                           static_cast<double>(depth));
-            if (inlineExecute_) {
-                // Inline mode: run the request right here on the
-                // reactor thread — no handoff, no task allocation.
-                const bool ok = dispatch(*session, header.type,
-                                         payload,
-                                         header.payloadBytes);
-                const std::size_t after =
-                    inFlight_.fetch_sub(1, std::memory_order_relaxed) -
-                    1;
-                OBS_GAUGE_SET("serve.queue_depth",
-                              static_cast<double>(after));
-                if (!ok)
-                    return false;
-                session->inBuf.erase(0, frame_bytes);
-                session->lastActivity =
-                    std::chrono::steady_clock::now();
-                continue;
-            }
-            // Pool mode: park the frame at the front of inBuf (the
-            // worker decodes it in place) and hand the session to the
-            // shared pool; the reactor stops polling it until the
-            // worker re-arms it.
-            session->inFlight = true;
-            session->pendingType = header.type;
-            session->pendingPayloadBytes = header.payloadBytes;
-            session->pendingEraseBytes = frame_bytes;
-            {
-                std::lock_guard<std::mutex> lock(drainMutex_);
-                ++activeTasks_;
-            }
-            util::ThreadPool::shared().submit(
-                [this, owned = session]() mutable {
-                    execute(std::move(owned));
-                });
-            return true; // Not polled again until the worker re-arms.
+            const bool ok = dispatch(reactor, session, header.type,
+                                     payload, header.payloadBytes);
+            const std::size_t after =
+                inFlight_.fetch_sub(1, std::memory_order_relaxed) - 1;
+            OBS_GAUGE_SET("serve.queue_depth",
+                          static_cast<double>(after));
+            if (!ok)
+                return false;
+            consumed += frame_bytes;
+            session.lastActivity = std::chrono::steady_clock::now();
+            continue;
           }
           default:
             sendTypedError(
-                session->fd, errc::kBadFrame,
+                session.fd, errc::kBadFrame,
                 util::format("frame type %u is not a client request",
                              static_cast<unsigned>(header.type)));
             return false;
         }
     }
+    session.inBuf.erase(0, consumed);
     return true;
 }
 
 bool
-Server::dispatch(Session &session, FrameType type, const char *payload,
-                 std::size_t size)
+Server::dispatch(Reactor &reactor, Session &session, FrameType type,
+                 const char *payload, std::size_t size)
 {
     // The span name is only materialized when tracing is on; the
     // request path must not allocate otherwise.
@@ -598,31 +503,18 @@ Server::dispatch(Session &session, FrameType type, const char *payload,
         "serve");
     OBS_TIMER("serve.request_us");
     return type == FrameType::Request
-               ? handleRequest(session, payload, size)
+               ? handleRequest(reactor, session, payload, size)
                : handleReload(session, payload, size);
 }
 
-void
-Server::execute(std::shared_ptr<Session> session)
-{
-    const char *payload =
-        session->inBuf.data() + kFrameHeaderBytes;
-    const bool ok = dispatch(*session, session->pendingType, payload,
-                             session->pendingPayloadBytes);
-    const std::size_t depth =
-        inFlight_.fetch_sub(1, std::memory_order_relaxed) - 1;
-    OBS_GAUGE_SET("serve.queue_depth", static_cast<double>(depth));
-    finishTask(session, !ok);
-}
-
 bool
-Server::handleRequest(Session &session, const char *payload,
-                      std::size_t size)
+Server::handleRequest(Reactor &reactor, Session &session,
+                      const char *payload, std::size_t size)
 {
-    RecommendRequest &request = session.requestScratch;
+    RecommendRequest &request = reactor.requestScratch;
     std::string error;
     if (!decodeRecommendRequestView(payload, size,
-                                    &session.requestFile, &request,
+                                    &reactor.requestFile, &request,
                                     &error)) {
         sendTypedError(session.fd, errc::kBadRequest, error);
         return false;
@@ -647,26 +539,28 @@ Server::handleRequest(Session &session, const char *payload,
 
     const std::shared_ptr<const Engine> engine = currentEngine();
 
-    // model:batch -> fingerprint memo, so the warm path never
-    // rebuilds a graph just to hash it.
-    std::string &key = session.keyScratch;
+    // model:batch -> fingerprint memo, shared by the reactor's
+    // sessions, so the warm path never rebuilds a graph just to hash
+    // it — not even on a fresh connection.
+    std::string &key = reactor.keyScratch;
     key.clear();
     key.append(request.model);
     key.push_back(':');
     appendDecimal(&key, static_cast<long long>(request.batch));
     std::uint64_t fingerprint = 0;
     bool have_fingerprint = false;
-    const auto key_it = session.requestKeys.find(key);
-    if (key_it != session.requestKeys.end()) {
+    const auto key_it = reactor.requestKeys.find(key);
+    if (key_it != reactor.requestKeys.end()) {
         fingerprint = key_it->second;
         have_fingerprint = true;
     }
     std::shared_ptr<const graph::Graph> graph;
     if (!have_fingerprint) {
+        OBS_COUNTER_INC("serve.graph_builds");
         graph = std::make_shared<const graph::Graph>(
             models::buildModel(request.model, request.batch));
         fingerprint = graphFingerprint(*graph);
-        session.requestKeys.emplace(key, fingerprint);
+        reactor.requestKeys.emplace(key, fingerprint);
     }
 
     // Process-wide shared plan cache: identical graphs compile once
@@ -682,11 +576,13 @@ Server::handleRequest(Session &session, const char *payload,
                 PlanEntry fresh;
                 fresh.fingerprint = fingerprint;
                 fresh.generation = engine->generation;
-                fresh.graph =
-                    graph ? graph
-                          : std::make_shared<const graph::Graph>(
-                                models::buildModel(request.model,
-                                                   request.batch));
+                if (!graph) {
+                    OBS_COUNTER_INC("serve.graph_builds");
+                    graph = std::make_shared<const graph::Graph>(
+                        models::buildModel(request.model,
+                                           request.batch));
+                }
+                fresh.graph = graph;
                 OBS_TIMER("serve.compile_us");
                 OBS_COUNTER_INC("serve.plan_compiles");
                 auto plan =
@@ -735,21 +631,21 @@ Server::handleRequest(Session &session, const char *payload,
         request.objective == "time" ? core::Objective::MinTrainingTime
                                     : core::Objective::MinCost);
 
-    // The sweep, projection and encode all write into per-session
+    // The sweep, projection and encode all write into per-reactor
     // scratch: a warm request allocates nothing from here on.
     core::recommendInto(engine->predictor, *entry->plan, workload,
                         candidates_, objective, constraints,
-                        options_.sweepThreads, &session.sweepScratch,
+                        options_.sweepThreads, &reactor.sweepScratch,
                         &entry->fits);
-    responseFromRecommendationInto(session.sweepScratch,
-                                   &session.responseScratch);
-    encodeRecommendResponseInto(session.responseScratch,
-                                &session.encodeScratch,
-                                &session.payloadScratch);
-    buildFrameInto(FrameType::Response, session.payloadScratch,
-                   &session.frameScratch);
-    if (!sendAll(session.fd, session.frameScratch.data(),
-                 session.frameScratch.size(), &error))
+    responseFromRecommendationInto(reactor.sweepScratch,
+                                   &reactor.responseScratch);
+    encodeRecommendResponseInto(reactor.responseScratch,
+                                &reactor.encodeScratch,
+                                &reactor.payloadScratch);
+    buildFrameInto(FrameType::Response, reactor.payloadScratch,
+                   &reactor.frameScratch);
+    if (!sendAll(session.fd, reactor.frameScratch.data(),
+                 reactor.frameScratch.size(), &error))
         return false;
     OBS_COUNTER_INC("serve.requests");
     return true;
@@ -787,26 +683,6 @@ Server::handleReload(Session &session, const char *payload,
         return false;
     OBS_COUNTER_INC("serve.requests");
     return true;
-}
-
-void
-Server::finishTask(const std::shared_ptr<Session> &session, bool close)
-{
-    Reactor &reactor = *reactors_[session->reactorIndex];
-    {
-        std::lock_guard<std::mutex> lock(reactor.mutex);
-        reactor.rearm.emplace_back(session->id, close);
-    }
-    wake(reactor);
-    {
-        // Notify while still holding the mutex: stop() may destroy
-        // this Server the instant it observes activeTasks_ == 0, and
-        // the waiter cannot get past its wait() until we release the
-        // lock — which sequences the notify before any destruction.
-        std::lock_guard<std::mutex> lock(drainMutex_);
-        --activeTasks_;
-        drainCv_.notify_all();
-    }
 }
 
 } // namespace serve

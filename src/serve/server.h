@@ -3,22 +3,20 @@
  * ceerd: a persistent recommendation server.
  *
  * The server runs `reactors` reactor threads (default 1). Each
- * reactor owns its accepted sessions outright — their sockets, frame
- * assembly, poll set and wake pipe — so reactors share no per-session
- * state. Accept sharding uses SO_REUSEPORT (every reactor binds its
- * own listener on the same port and the kernel spreads connections);
- * when that is unavailable or disabled, reactor 0 owns the single
- * listener and hands accepted fds to its peers round-robin.
+ * reactor owns its sessions outright — their sockets, frame assembly,
+ * poll set and wake pipe — so reactors share no per-session state.
+ * Reactor 0 owns the one listener and deals accepted connections to
+ * the reactors round-robin through a mutex-guarded per-reactor inbox;
+ * round-robin balances by construction, whatever the peers' ports.
  *
- * Request execution has two modes. With `sweepThreads == 1` (the
- * default) a complete request executes INLINE on its reactor thread:
- * no handoff, no wake-pipe round trip, no task allocation — request
- * parallelism comes from running one reactor per core. With
- * `sweepThreads != 1` requests are submitted to
- * util::ThreadPool::shared() as before, and the worker→reactor
- * re-arm handoff (mutex-guarded, per reactor) provides the
- * happens-before edge for the session state. Either way a session has
- * at most one request in flight.
+ * Every request executes INLINE on the reactor that owns its session:
+ * no handoff, no wake-pipe round trip, no task allocation. Request
+ * parallelism comes from running one reactor per core; `sweepThreads`
+ * only widens each request's candidate sweep, which the reactor runs
+ * through util::ThreadPool::shared(). A session therefore has at most
+ * one request executing, and a reactor executes one at a time, so the
+ * request scratch and the model:batch fingerprint memo live on the
+ * reactor and are shared by all of its sessions.
  *
  * Compiled plans live in one process-wide sharded PlanCache
  * (plan_cache.h) keyed by structural graph fingerprint: identical
@@ -29,7 +27,7 @@
  * The steady-state request path performs no heap allocation: frames
  * are decoded in place from the session's input buffer (CBF view
  * parse), the candidate sweep, response projection and encode all
- * write into per-session reusable scratch, and the response frame is
+ * write into per-reactor reusable scratch, and the response frame is
  * built into a reusable output buffer. bench/micro_serve enforces
  * this with an operator-new counting gate.
  *
@@ -50,7 +48,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -76,20 +73,11 @@ struct ServerOptions
     int backlog = 64;               ///< listen(2) backlog.
 
     /**
-     * Reactor threads. Each owns its accepted sessions; with
-     * `sweepThreads == 1` requests also execute on their reactor, so
-     * this is the request-parallelism knob (one per core is the
-     * intended production shape).
+     * Reactor threads. Each owns its sessions and executes their
+     * requests, so this is the request-parallelism knob (one per core
+     * is the intended production shape).
      */
     int reactors = 1;
-
-    /**
-     * Shard accepts across reactors with SO_REUSEPORT (one listener
-     * per reactor). When false — or when the extra binds fail — the
-     * server falls back to a single listener on reactor 0 that
-     * round-robins accepted connections to its peers.
-     */
-    bool reusePort = true;
 
     /**
      * Admission bound: maximum requests admitted (queued or
@@ -109,10 +97,9 @@ struct ServerOptions
     int readTimeoutMs = 5000;
 
     /**
-     * Thread hint for the per-request candidate sweep. 1 (default)
-     * executes the whole request inline on its reactor; any other
-     * value routes requests through the shared thread pool with this
-     * sweep parallelism.
+     * Candidate-sweep parallelism per request, passed to
+     * core::recommendInto by the reactor executing the request. 1
+     * (default) sweeps on the reactor thread alone.
      */
     int sweepThreads = 1;
 
@@ -149,10 +136,6 @@ class Server
 
     /** The bound port (after tryStart); useful with port 0. */
     int port() const { return port_; }
-
-    /** True when accept sharding runs via SO_REUSEPORT (after
-     *  tryStart); false in single-listener fallback mode. */
-    bool usingReusePort() const { return !singleListener_; }
 
     /**
      * Graceful shutdown: stop accepting, close idle connections,
@@ -195,36 +178,8 @@ class Server
     {
         std::uint64_t id = 0;
         int fd = -1;
-        std::size_t reactorIndex = 0;
         std::string inBuf;
-        bool inFlight = false;
         std::chrono::steady_clock::time_point lastActivity;
-
-        /** Pool mode: frame handed to the worker, still at the front
-         *  of inBuf (the worker decodes it in place); the reactor
-         *  erases it at re-arm time. */
-        FrameType pendingType = FrameType::Request;
-        std::uint32_t pendingPayloadBytes = 0;
-        std::size_t pendingEraseBytes = 0;
-
-        /** Fingerprint memo keyed by "model:batch" request key —
-         *  avoids rebuilding the graph just to hash it. */
-        std::unordered_map<std::string, std::uint64_t> requestKeys;
-
-        /**
-         * Reusable request-path scratch. Touched only by whichever
-         * thread currently executes this session's request (reactor
-         * in inline mode, worker in pool mode — never both). Once
-         * warm, a recommend request allocates nothing.
-         */
-        RecommendRequest requestScratch;     ///< Decoded request.
-        io::CbfFile requestFile;             ///< View-parse scratch.
-        core::Recommendation sweepScratch;   ///< Candidate sweep.
-        RecommendResponse responseScratch;   ///< Columnar projection.
-        ResponseEncodeScratch encodeScratch; ///< CBF encode scratch.
-        std::string payloadScratch;          ///< Encoded payload.
-        std::string frameScratch;            ///< Outgoing frame.
-        std::string keyScratch;              ///< "model:batch" key.
 
         ~Session();
     };
@@ -233,41 +188,52 @@ class Server
     struct Reactor
     {
         std::size_t index = 0;
-        int listenFd = -1; ///< Own SO_REUSEPORT listener, or -1.
         int wakeRead = -1;
         int wakeWrite = -1;
         std::thread thread;
 
-        /** Guards rearm and inbox — the only state other threads
-         *  touch. sessions is reactor-thread-private. */
+        /** Guards inbox — the only state other threads touch. */
         std::mutex mutex;
-        /** (session id, close?) handoffs from workers (pool mode). */
-        std::vector<std::pair<std::uint64_t, bool>> rearm;
-        /** Accepted fds handed over in single-listener mode. */
+        /** Accepted fds dealt to this reactor by reactor 0. */
         std::vector<int> inbox;
 
-        std::unordered_map<std::uint64_t, std::shared_ptr<Session>>
-            sessions;
+        /** Everything below is reactor-thread-private. */
+        std::unordered_map<std::uint64_t, Session> sessions;
+
+        /** Fingerprint memo keyed by "model:batch" request key, shared
+         *  by every session on this reactor — avoids rebuilding the
+         *  graph just to hash it. */
+        std::unordered_map<std::string, std::uint64_t> requestKeys;
+
+        /**
+         * Reusable request-path scratch, used by one request at a time
+         * (the reactor executes its sessions' requests one by one).
+         * Once warm, a recommend request allocates nothing.
+         */
+        std::vector<std::uint64_t> alignedPayload; ///< Aligned copy.
+        RecommendRequest requestScratch;           ///< Decoded request.
+        io::CbfFile requestFile;                   ///< View-parse scratch.
+        core::Recommendation sweepScratch;         ///< Candidate sweep.
+        RecommendResponse responseScratch;         ///< Columnar rows.
+        ResponseEncodeScratch encodeScratch;       ///< CBF encode scratch.
+        std::string payloadScratch;                ///< Encoded payload.
+        std::string frameScratch;                  ///< Outgoing frame.
+        std::string keyScratch;                    ///< "model:batch" key.
     };
 
     void reactorLoop(Reactor &reactor);
     void wake(Reactor &reactor);
     void adoptSession(Reactor &reactor, int fd);
-    bool processSession(Reactor &reactor,
-                        const std::shared_ptr<Session> &session);
-    bool readSession(Reactor &reactor,
-                     const std::shared_ptr<Session> &session);
+    bool processSession(Reactor &reactor, Session &session);
+    bool readSession(Reactor &reactor, Session &session);
     /** Runs one admitted frame; returns false when the session must
-     *  close. Shared by the inline and pool paths. */
-    bool dispatch(Session &session, FrameType type, const char *payload,
-                  std::size_t size);
-    void execute(std::shared_ptr<Session> session);
-    bool handleRequest(Session &session, const char *payload,
-                       std::size_t size);
+     *  close. */
+    bool dispatch(Reactor &reactor, Session &session, FrameType type,
+                  const char *payload, std::size_t size);
+    bool handleRequest(Reactor &reactor, Session &session,
+                       const char *payload, std::size_t size);
     bool handleReload(Session &session, const char *payload,
                       std::size_t size);
-    void finishTask(const std::shared_ptr<Session> &session,
-                    bool close);
     std::shared_ptr<const Engine> currentEngine() const;
 
     ServerOptions options_;
@@ -280,24 +246,18 @@ class Server
     mutable PlanCache planCache_;
 
     std::vector<std::unique_ptr<Reactor>> reactors_;
-    bool singleListener_ = false;
-    bool inlineExecute_ = true;
+    /** The one listener; polled by reactor 0 only. */
+    int listenFd_ = -1;
     int port_ = 0;
     std::atomic<bool> stopping_{false};
     bool started_ = false;
 
     std::atomic<std::uint64_t> nextSessionId_{1};
-    /** Single-listener round-robin cursor; reactor 0 only. */
+    /** Accept round-robin cursor; reactor 0 only. */
     std::uint64_t nextReactorRR_ = 0;
 
     /** Admitted (queued or executing) requests, all reactors. */
     std::atomic<std::size_t> inFlight_{0};
-
-    /** Drain bookkeeping for stop() (pool-mode tasks only; inline
-     *  requests finish before their reactor joins). */
-    std::mutex drainMutex_;
-    std::condition_variable drainCv_;
-    std::size_t activeTasks_ = 0;
 };
 
 } // namespace serve

@@ -753,10 +753,92 @@ TEST(ServeServerTest, PlanCacheIsSharedAcrossSessions)
     EXPECT_EQ(stats.entries, 1u);
 }
 
+TEST(ServeServerTest, FreshConnectionReusesTheReactorFingerprintMemo)
+{
+    obs::ScopedEnable metrics(true);
+    obs::resetMetrics();
+    auto server = startServer(); // One reactor owns both sessions.
+    RecommendRequest request;
+    request.model = "alexnet";
+    const auto graph_builds = [] {
+        return obs::snapshotMetrics().counterValue("serve.graph_builds");
+    };
+
+    ServeClient a;
+    std::string error;
+    ASSERT_TRUE(
+        a.tryConnect("127.0.0.1", server->port(), 30000, &error))
+        << error;
+    RecommendResponse response;
+    ASSERT_TRUE(a.recommend(request, &response).ok);
+    EXPECT_EQ(graph_builds(), 1u);
+
+    // A new connection asking for the same model:batch hits the
+    // reactor's memo and the shared plan cache: no graph is built.
+    ServeClient b;
+    ASSERT_TRUE(
+        b.tryConnect("127.0.0.1", server->port(), 30000, &error))
+        << error;
+    std::string raw;
+    ASSERT_TRUE(b.recommend(request, &response, &raw).ok);
+    EXPECT_EQ(raw, localReplyBytes(request));
+    EXPECT_EQ(graph_builds(), 1u)
+        << "a fresh connection rebuilt a graph the reactor had hashed";
+}
+
+TEST(ServeServerTest, PipelinedBurstRepliesInOrder)
+{
+    auto server = startServer();
+    // Model names of different lengths make payload sizes that are not
+    // multiples of 8, so later frames in the burst sit at misaligned
+    // offsets of the session buffer.
+    const std::vector<std::string> models = {"alexnet", "vgg_19",
+                                             "inception_v3",
+                                             "inception_resnet_v2"};
+    std::vector<std::string> frames;
+    std::vector<std::string> expected;
+    bool odd_payload = false;
+    for (const std::string &model : models) {
+        RecommendRequest request;
+        request.model = model;
+        const std::string payload = encodeRecommendRequest(request);
+        odd_payload = odd_payload || payload.size() % 8 != 0;
+        frames.push_back(buildFrame(FrameType::Request, payload));
+        expected.push_back(localReplyBytes(request));
+    }
+    ASSERT_TRUE(odd_payload)
+        << "every payload is 8-byte sized; the burst tests no "
+           "misaligned frame";
+
+    constexpr std::size_t kRequests = 256;
+    std::string burst;
+    for (std::size_t i = 0; i < kRequests; ++i)
+        burst += frames[i % frames.size()];
+    burst += buildFrame(FrameType::Ping, "");
+
+    Fd fd = rawConnect(server->port());
+    std::string error;
+    ASSERT_TRUE(sendAll(fd.get(), burst.data(), burst.size(), &error))
+        << error;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        FrameHeader header;
+        std::string payload;
+        ASSERT_TRUE(readFrame(fd.get(), &header, &payload))
+            << "reply " << i;
+        ASSERT_EQ(header.type, FrameType::Response) << "reply " << i;
+        ASSERT_EQ(payload, expected[i % expected.size()])
+            << "reply " << i;
+    }
+    FrameHeader header;
+    std::string payload;
+    ASSERT_TRUE(readFrame(fd.get(), &header, &payload));
+    EXPECT_EQ(header.type, FrameType::Pong);
+}
+
 // --- Multi-reactor -----------------------------------------------------
 
 /** Byte-identity across several concurrent connections against
- *  @p options (the caller picks reactor count and accept mode). */
+ *  @p options (the caller picks the reactor count). */
 void
 expectIdenticalRepliesAcrossConnections(ServerOptions options)
 {
@@ -766,7 +848,7 @@ expectIdenticalRepliesAcrossConnections(ServerOptions options)
     const std::string expected = localReplyBytes(request);
 
     // More connections than reactors so every reactor serves at least
-    // one session regardless of how accepts are sharded.
+    // one session.
     constexpr int kConnections = 5;
     std::vector<std::unique_ptr<ServeClient>> clients;
     for (int i = 0; i < kConnections; ++i) {
@@ -793,14 +875,65 @@ TEST(ServeServerTest, MultiReactorRepliesMatchInProcessRecommend)
     expectIdenticalRepliesAcrossConnections(options);
 }
 
-TEST(ServeServerTest, SingleListenerFallbackHandsSessionsAcross)
+TEST(ServeServerTest, ParallelSweepsOnTwoReactorsMatchUnderConcurrency)
 {
-    // Forcing reusePort off exercises the round-robin fd handoff from
-    // the accepting reactor to its peers' inboxes.
+    // Two reactors each widen their requests' candidate sweep onto the
+    // shared pool, so concurrent clients on both reactors enter
+    // ThreadPool::shared().parallelForRange at the same time.
     ServerOptions options;
     options.reactors = 2;
-    options.reusePort = false;
-    expectIdenticalRepliesAcrossConnections(options);
+    options.sweepThreads = 2;
+    auto server = startServer(options);
+
+    const std::vector<std::string> models = {"alexnet", "vgg_19",
+                                             "resnet_50",
+                                             "inception_v3"};
+    std::vector<RecommendRequest> requests;
+    std::vector<std::string> expected;
+    for (const std::string &model : models) {
+        RecommendRequest request;
+        request.model = model;
+        requests.push_back(request);
+        expected.push_back(localReplyBytes(request));
+    }
+
+    constexpr int kClients = 4;
+    constexpr int kRounds = 8;
+    const int port = server->port();
+    std::vector<std::string> failures(kClients);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+            ServeClient client;
+            std::string error;
+            if (!client.tryConnect("127.0.0.1", port, 30000, &error)) {
+                failures[c] = "connect: " + error;
+                return;
+            }
+            for (int round = 0; round < kRounds; ++round) {
+                const std::size_t pick =
+                    static_cast<std::size_t>(c + round) % models.size();
+                RecommendResponse response;
+                std::string raw;
+                const CallOutcome outcome =
+                    client.recommend(requests[pick], &response, &raw);
+                if (!outcome.ok) {
+                    failures[c] = "recommend: " + outcome.errorMessage;
+                    return;
+                }
+                if (raw != expected[pick]) {
+                    failures[c] = "reply for " + models[pick] +
+                                  " differs from in-process recommend";
+                    return;
+                }
+            }
+        });
+    }
+    for (std::thread &client : clients)
+        client.join();
+    for (int c = 0; c < kClients; ++c)
+        EXPECT_EQ(failures[c], "") << "client " << c;
+    server->stop();
 }
 
 TEST(ServeServerTest, MultiReactorHotReloadKeepsReplies)

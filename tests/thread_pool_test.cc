@@ -12,6 +12,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -210,26 +211,57 @@ TEST(ThreadPoolTest, MaxThreadsOneRunsSerially)
 
 TEST(ThreadPoolTest, ExceptionAbandonsRemainingChunks)
 {
-    // A throw in one chunk must stop other executors from claiming
-    // further chunks: with the failure in the very first index, the
-    // executed count stays far below n.
+    // Contract: chunks not yet claimed when a throw is recorded are
+    // abandoned. The bodies pin the schedule so the test does not
+    // depend on it: every executor but one parks inside its first
+    // chunk, and the remaining worker throws. Its throw-then-record
+    // happens while no other executor can claim. The parked executors
+    // are released by a task the thrower queues on its own deque, and
+    // only the thrower is free to run that task, so it runs after the
+    // thrower has left the range and recorded the throw. No chunk may
+    // start after that; a range that ignored the failure would run
+    // every remaining chunk.
     ThreadPool pool(4);
     constexpr std::size_t kN = 1'000'000;
+    const std::size_t executors = pool.workerCount() + 1;
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> thrower_chosen{false};
+    std::atomic<bool> thrown{false};
+    std::atomic<bool> released{false};
+    std::atomic<std::size_t> parked{0};
+    std::atomic<std::size_t> late_chunks{0};
     std::atomic<std::size_t> executed{0};
+    const auto wait_for = [](const auto &ready) {
+        while (!ready())
+            std::this_thread::yield();
+    };
     ParallelOptions options;
     options.costHintUs = 0.01; // fine grain: many chunks to abandon
     try {
-        pool.parallelForRange(kN, options,
-                              [&](std::size_t lo, std::size_t hi) {
-                                  if (lo == 0)
-                                      throw std::runtime_error(
-                                          "first chunk failed");
-                                  executed.fetch_add(hi - lo);
-                              });
+        pool.parallelForRange(kN, options, [&](std::size_t lo,
+                                               std::size_t hi) {
+            if (thrown.load()) {
+                late_chunks.fetch_add(1);
+                executed.fetch_add(hi - lo);
+                return;
+            }
+            if (std::this_thread::get_id() != caller &&
+                !thrower_chosen.exchange(true)) {
+                wait_for([&] { return parked.load() == executors - 1; });
+                pool.submit([&] { released.store(true); });
+                thrown.store(true);
+                throw std::runtime_error("chunk failed");
+            }
+            parked.fetch_add(1);
+            wait_for([&] { return released.load(); });
+            executed.fetch_add(hi - lo);
+        });
         FAIL() << "expected the chunk's exception to propagate";
     } catch (const std::runtime_error &error) {
-        EXPECT_STREQ(error.what(), "first chunk failed");
+        EXPECT_STREQ(error.what(), "chunk failed");
     }
+    EXPECT_EQ(late_chunks.load(), 0u)
+        << "chunks were claimed after the throw was recorded";
     EXPECT_LT(executed.load(), kN / 2)
         << "remaining chunks were not abandoned";
 }

@@ -723,14 +723,11 @@ cmdServe(int argc, char **argv)
                     "disconnect clients stalled mid-frame after this "
                     "long (<= 0 disables)");
     flags.defineInt("threads", 1,
-                    "candidate-sweep worker threads per request; 1 "
-                    "executes requests inline on their reactor");
+                    "candidate-sweep threads per request, run from "
+                    "the reactor");
     flags.defineInt("reactors", 1,
-                    "reactor threads (accept sharding via "
-                    "SO_REUSEPORT; one per core is typical)");
-    flags.defineBool("no-reuseport", false,
-                     "disable SO_REUSEPORT accept sharding (single "
-                     "listener distributes connections round-robin)");
+                    "reactor threads; connections are dealt to them "
+                    "round-robin (one per core is typical)");
     flags.defineInt("plan-cache", 256,
                     "shared plan-cache capacity in entries");
     defineObsFlags(flags);
@@ -752,7 +749,6 @@ cmdServe(int argc, char **argv)
         static_cast<int>(flags.getInt("read-timeout-ms"));
     options.sweepThreads = static_cast<int>(flags.getInt("threads"));
     options.reactors = static_cast<int>(flags.getInt("reactors"));
-    options.reusePort = !flags.getBool("no-reuseport");
     options.planCacheCapacity =
         static_cast<std::size_t>(flags.getInt("plan-cache"));
 
@@ -783,9 +779,7 @@ cmdServe(int argc, char **argv)
     std::cout << "ceerd listening on " << options.host << ":"
               << server.port() << " ("
               << (options.reactors < 1 ? 1 : options.reactors)
-              << (options.reactors > 1 ? " reactors, " : " reactor, ")
-              << (server.usingReusePort() ? "SO_REUSEPORT"
-                                          : "single listener")
+              << (options.reactors > 1 ? " reactors" : " reactor")
               << ")\n"
               << std::flush;
 

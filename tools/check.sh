@@ -130,10 +130,10 @@ pass_bench_smoke() {
     kill -TERM "$serve_pid"
     wait "$serve_pid"
     grep -q throughput_qps build/check_serve_loadgen.json
-    # The same smoke with two reactors: accept sharding (or the
-    # single-listener fallback), cross-reactor sessions and the
-    # reactor-aware SIGTERM drain must all survive a real process
-    # lifecycle, not just the in-process tests.
+    # The same smoke with two reactors: the round-robin deal of
+    # accepted connections from reactor 0, sessions on both reactors
+    # and the reactor-aware SIGTERM drain must all survive a real
+    # process lifecycle, not just the in-process tests.
     rm -f build/check_serve_port.txt
     ./build/tools/ceer serve --ceer-model build/check_serve_model.txt \
         --port 0 --reactors 2 \
@@ -203,11 +203,11 @@ pass_tsan() {
     # memo included) while per-cell simulators run on the pool.
     ./build-tsan/tests/baselines_test \
         --gtest_filter='EvalSweepTest.ParallelSweepIsByteIdentical'
-    # The full ceerd stack under TSan: multi-reactor accept sharding
-    # and fd handoff, the shared plan cache's concurrent compile-once
-    # path, reactor/worker re-arm handoff, engine hot-swap, admission
-    # counters and the loadgen's dedicated client threads all
-    # race-checked end to end.
+    # The full ceerd stack under TSan: the round-robin fd handoff
+    # across reactors, the shared plan cache's concurrent compile-once
+    # path, reactors entering the shared pool's candidate sweep at once
+    # (sweepThreads > 1), engine hot-swap, admission counters and the
+    # loadgen's dedicated client threads all race-checked end to end.
     ./build-tsan/tests/serve_test
 }
 
