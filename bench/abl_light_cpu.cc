@@ -16,7 +16,7 @@
 
 #include <cmath>
 
-#include "baselines/baselines.h"
+#include "core/predictor.h"
 #include "models/model_zoo.h"
 #include "util/strings.h"
 
@@ -48,7 +48,7 @@ main(int argc, char **argv)
             const double full =
                 predictor.predictIterationUs(g, gpu, 1);
             const double ablated = predictor.predictIterationUs(
-                g, gpu, 1, baselines::heavyOnlyOptions());
+                g, gpu, 1, {.includeLightAndCpu = false});
             const double fe = std::abs(full / observed - 1.0);
             const double ae = std::abs(ablated / observed - 1.0);
             full_error += fe;

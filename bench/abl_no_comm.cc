@@ -9,7 +9,7 @@
 
 #include <cmath>
 
-#include "baselines/baselines.h"
+#include "core/predictor.h"
 #include "models/model_zoo.h"
 #include "util/strings.h"
 
@@ -45,7 +45,7 @@ main(int argc, char **argv)
                 const double full =
                     predictor.predictIterationUs(g, gpu, k);
                 const double ablated = predictor.predictIterationUs(
-                    g, gpu, k, baselines::noCommOptions());
+                    g, gpu, k, {.includeComm = false});
                 full_sum += std::abs(full / observed - 1.0);
                 ablated_sum += std::abs(ablated / observed - 1.0);
             }

@@ -12,8 +12,9 @@
 
 #include <cmath>
 #include <iostream>
+#include <memory>
 
-#include "baselines/baselines.h"
+#include "baselines/predictor.h"
 #include "core/predictor.h"
 #include "core/trainer.h"
 #include "models/model_zoo.h"
@@ -40,10 +41,13 @@ main(int argc, char **argv)
     options.batch = batch;
     options.iterations = static_cast<int>(flags.getInt("iters"));
     std::cout << "training Ceer on the 8-CNN training set...\n";
-    const core::CeerModel model = core::trainCeer(
-        profile::collectProfiles(models::trainingSetNames(), options));
+    const profile::ProfileDataset dataset =
+        profile::collectProfiles(models::trainingSetNames(), options);
+    const core::CeerModel model = core::trainCeer(dataset);
     const core::CeerPredictor predictor(model);
-    const baselines::FlopsPredictor paleo(0.5);
+    const std::unique_ptr<baselines::Predictor> paleo =
+        baselines::makePredictor("paleo_flops");
+    paleo->trainFrom(dataset);
 
     util::TablePrinter table({"CNN", "GPU", "Ceer", "no light/CPU",
                               "no comm", "PALEO-style"});
@@ -63,10 +67,10 @@ main(int argc, char **argv)
             const double predictions[4] = {
                 predictor.predictIterationUs(g, gpu, k),
                 predictor.predictIterationUs(
-                    g, gpu, k, baselines::heavyOnlyOptions()),
-                predictor.predictIterationUs(
-                    g, gpu, k, baselines::noCommOptions()),
-                paleo.predictIterationUs(g, gpu),
+                    g, gpu, k, {.includeLightAndCpu = false}),
+                predictor.predictIterationUs(g, gpu, k,
+                                             {.includeComm = false}),
+                paleo->predictIterationUs(g, gpu, k),
             };
             std::vector<std::string> row{name, hw::gpuModelName(gpu)};
             for (int i = 0; i < 4; ++i) {

@@ -1,7 +1,5 @@
 #include "baselines/baselines.h"
 
-#include "core/predictor.h"
-#include "hw/op_cost.h"
 #include "util/logging.h"
 
 namespace ceer {
@@ -38,55 +36,6 @@ latestGenerationInstance(
         util::fatal("latestGenerationInstance: no P3 candidate within "
                     "budget");
     return *best;
-}
-
-core::PredictOptions
-heavyOnlyOptions()
-{
-    core::PredictOptions options;
-    options.includeLightAndCpu = false;
-    return options;
-}
-
-core::PredictOptions
-noCommOptions()
-{
-    core::PredictOptions options;
-    options.includeComm = false;
-    return options;
-}
-
-FlopsPredictor::FlopsPredictor(double utilization)
-    : utilization_(utilization)
-{
-    if (utilization <= 0.0 || utilization > 1.0)
-        util::fatal("FlopsPredictor: utilization must be in (0, 1]");
-}
-
-double
-FlopsPredictor::predictIterationUs(const graph::Graph &g,
-                                   hw::GpuModel gpu) const
-{
-    const hw::GpuSpec &spec = hw::gpuSpec(gpu);
-    double total_flops = 0.0;
-    for (const graph::Node &node : g.nodes()) {
-        if (node.device() != graph::Device::Gpu)
-            continue;
-        total_flops += hw::opCost(node).flops;
-    }
-    return total_flops / (spec.peakTflops * utilization_ * 1e6);
-}
-
-double
-FlopsPredictor::predictTrainingHours(const graph::Graph &g,
-                                     hw::GpuModel gpu, int num_gpus,
-                                     std::int64_t dataset_samples,
-                                     std::int64_t batch_per_gpu) const
-{
-    return core::makeTrainingPrediction(predictIterationUs(g, gpu),
-                                        num_gpus, dataset_samples,
-                                        batch_per_gpu)
-        .hours;
 }
 
 } // namespace baselines

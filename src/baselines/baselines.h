@@ -1,19 +1,13 @@
 /**
  * @file
- * Baselines the paper compares Ceer against.
- *
- * Instance-selection strategies (Sec. V):
+ * Instance-selection baselines the paper compares Ceer against
+ * (Sec. V):
  *  - "cheapest": rent the instance with the lowest hourly price;
  *  - "latest generation": rent the newest-GPU (P3) instance, as AWS
  *    lists by default — the largest one that fits the constraint.
  *
- * Predictor ablations/comparators (Secs. IV, VII):
- *  - heavy-only: Ceer without the light/CPU median terms (Giannini
- *    et al.-style layer modeling that ignores small ops);
- *  - no-comm: Ceer without S_GPU (Cai et al. / Justus et al., which
- *    ignore communication);
- *  - PALEO-style: per-iteration time from the FLOP count alone at a
- *    fixed utilization, no input-size or communication modeling.
+ * The predictor ablations and comparators (Secs. IV, VII) are engines
+ * in the baselines/predictor.h registry.
  */
 
 #ifndef CEER_BASELINES_BASELINES_H
@@ -22,7 +16,6 @@
 #include <limits>
 
 #include "cloud/instances.h"
-#include "core/predictor.h"
 
 namespace ceer {
 namespace baselines {
@@ -39,38 +32,6 @@ cheapestInstance(const std::vector<cloud::GpuInstance> &candidates);
 const cloud::GpuInstance &latestGenerationInstance(
     const std::vector<cloud::GpuInstance> &candidates,
     double hourly_budget = std::numeric_limits<double>::infinity());
-
-/** Ceer ablation: no light/CPU median terms (Sec. IV-B, 15-25% err). */
-core::PredictOptions heavyOnlyOptions();
-
-/** Ceer ablation: no communication overhead (Sec. IV-A, 5-30% err). */
-core::PredictOptions noCommOptions();
-
-/**
- * PALEO-style FLOP-count predictor: iteration time is the summed FLOPs
- * of GPU ops divided by peak throughput at a fixed utilization. Knows
- * nothing about memory-bound ops, input sizes, light/CPU ops or
- * communication.
- */
-class FlopsPredictor
-{
-  public:
-    /** @param utilization Fraction of peak FLOP/s assumed achieved. */
-    explicit FlopsPredictor(double utilization = 0.5);
-
-    /** Predicted per-iteration time on @p gpu. */
-    double predictIterationUs(const graph::Graph &g,
-                              hw::GpuModel gpu) const;
-
-    /** Predicted full-training time in hours. */
-    double predictTrainingHours(const graph::Graph &g, hw::GpuModel gpu,
-                                int num_gpus,
-                                std::int64_t dataset_samples,
-                                std::int64_t batch_per_gpu) const;
-
-  private:
-    double utilization_;
-};
 
 } // namespace baselines
 } // namespace ceer

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <utility>
 
@@ -119,6 +119,60 @@ parseI64(const std::string &text, std::size_t row, const char *column,
     return true;
 }
 
+/*
+ * The one row check per report record, shared by the CSV and CBF
+ * decoders. @p row numbers the row in the caller's dialect.
+ */
+
+/** A cell: a known GPU and k in [1, INT_MAX], checked before it is
+    narrowed to int. */
+bool
+checkCell(std::size_t row, const std::string &gpu, std::int64_t k,
+          EvalCell *cell, std::string *error)
+{
+    if (!hw::gpuModelFromName(gpu, cell->gpu)) {
+        *error = util::format("row %zu: unknown GPU '%s'", row,
+                              gpu.c_str());
+        return false;
+    }
+    if (k < 1 || k > std::numeric_limits<int>::max()) {
+        *error = util::format("row %zu, column k: %lld not in [1, %d]",
+                              row, static_cast<long long>(k),
+                              std::numeric_limits<int>::max());
+        return false;
+    }
+    cell->k = static_cast<int>(k);
+    return true;
+}
+
+/** A model row: the agree flag is 0 or 1. */
+bool
+checkModelRow(std::size_t row, std::int64_t agree, EvalModelRow *model,
+              std::string *error)
+{
+    if (agree != 0 && agree != 1) {
+        *error = util::format("row %zu, column agree: %lld is not 0 or 1",
+                              row, static_cast<long long>(agree));
+        return false;
+    }
+    model->agree = agree == 1;
+    return true;
+}
+
+/** A summary row: the agreement rate is a fraction in [0, 1]. */
+bool
+checkSummaryRow(std::size_t row, const EvalSummaryRow &sum,
+                std::string *error)
+{
+    if (!(sum.agreementRate >= 0.0 && sum.agreementRate <= 1.0)) {
+        *error = util::format(
+            "row %zu, column agree: agreement rate %g not in [0, 1]", row,
+            sum.agreementRate);
+        return false;
+    }
+    return true;
+}
+
 } // namespace
 
 void
@@ -196,20 +250,15 @@ EvalReport::tryLoadCsv(std::istream &in, EvalReport *report,
             EvalCell cell;
             cell.predictor = row[1];
             cell.model = row[2];
-            if (!hw::gpuModelFromName(row[3], cell.gpu)) {
-                *error = util::format("row %zu: unknown GPU '%s'", r,
-                                      row[3].c_str());
-                return false;
-            }
             std::int64_t k = 0;
             if (!parseI64(row[4], r, "k", &k, error) ||
                 !parseF64(row[5], r, "observed_us", &cell.observedUs,
                           error) ||
                 !parseF64(row[6], r, "predicted_us", &cell.predictedUs,
                           error) ||
-                !parseF64(row[7], r, "ape_pct", &cell.apePct, error))
+                !parseF64(row[7], r, "ape_pct", &cell.apePct, error) ||
+                !checkCell(r, row[3], k, &cell, error))
                 return false;
-            cell.k = static_cast<int>(k);
             parsed.cells.push_back(std::move(cell));
         } else if (kind == "model") {
             EvalModelRow model;
@@ -221,11 +270,11 @@ EvalReport::tryLoadCsv(std::istream &in, EvalReport *report,
                 !parseF64(row[9], r, "rmse_us", &model.rmseUs, error) ||
                 !parseF64(row[10], r, "spearman", &model.spearman,
                           error) ||
-                !parseI64(row[13], r, "agree", &agree, error))
+                !parseI64(row[13], r, "agree", &agree, error) ||
+                !checkModelRow(r, agree, &model, error))
                 return false;
             model.recommended = row[11];
             model.observedBest = row[12];
-            model.agree = agree != 0;
             parsed.modelRows.push_back(std::move(model));
         } else if (kind == "summary") {
             EvalSummaryRow sum;
@@ -235,7 +284,8 @@ EvalReport::tryLoadCsv(std::istream &in, EvalReport *report,
                 !parseF64(row[10], r, "spearman", &sum.meanSpearman,
                           error) ||
                 !parseF64(row[13], r, "agree", &sum.agreementRate,
-                          error))
+                          error) ||
+                !checkSummaryRow(r, sum, error))
                 return false;
             parsed.summary.push_back(std::move(sum));
         } else {
@@ -322,127 +372,48 @@ bool
 EvalReport::tryLoadCbf(const io::CbfFile &file, EvalReport *report,
                        std::string *error)
 {
-    const char *schema = nullptr;
-    std::size_t schema_size = 0;
-    if (!file.bytes("schema", &schema, &schema_size, error))
+    if (!io::checkSchema(file, "ceer.evalreport.v1",
+                         "an evaluation report", error))
         return false;
-    const std::string schema_text(schema, schema_size);
-    if (schema_text != "ceer.evalreport.v1") {
-        *error = "not an evaluation report CBF (schema '" +
-                 schema_text + "')";
-        return false;
-    }
-
-    // Each group's columns must agree on their row count.
-    const auto sized = [&](const char *name, io::DType dtype,
-                           std::size_t rows, const void **data) {
-        const io::ColumnDesc *desc = file.find(name);
-        if (!desc) {
-            *error = std::string("missing column ") + name;
-            return false;
-        }
-        if (desc->count != rows) {
-            *error = util::format("column %s: expected %zu rows, got "
-                                  "%zu",
-                                  name, rows,
-                                  static_cast<std::size_t>(desc->count));
-            return false;
-        }
-        std::size_t count = 0;
-        switch (dtype) {
-          case io::DType::F64:
-            return file.f64(name, reinterpret_cast<const double **>(
-                                      data),
-                            &count, error);
-          case io::DType::I64:
-            return file.i64(name,
-                            reinterpret_cast<const std::int64_t **>(
-                                data),
-                            &count, error);
-          case io::DType::U8:
-            return file.u8(name,
-                           reinterpret_cast<const std::uint8_t **>(
-                               data),
-                           &count, error);
-          default:
-            *error = std::string("column ") + name +
-                     ": unsupported dtype";
-            return false;
-        }
-    };
-
     EvalReport parsed;
 
-    std::vector<std::string> predictor, model, gpu;
-    if (!io::readStringColumn(file, "cell.predictor", &predictor,
-                              error) ||
-        !io::readStringColumn(file, "cell.model", &model, error) ||
-        !io::readStringColumn(file, "cell.gpu", &gpu, error))
+    io::RowGroup cells(file, error);
+    std::vector<std::string> predictor = cells.str("cell.predictor");
+    std::vector<std::string> model = cells.str("cell.model");
+    const std::vector<std::string> gpu = cells.str("cell.gpu");
+    const std::int64_t *k = cells.i64("cell.k");
+    const double *observed_us = cells.f64("cell.observed_us");
+    const double *predicted_us = cells.f64("cell.predicted_us");
+    const double *ape_pct = cells.f64("cell.ape_pct");
+    if (!cells.ok())
         return false;
-    const std::size_t n_cells = predictor.size();
-    if (model.size() != n_cells || gpu.size() != n_cells) {
-        *error = "cell.* columns disagree on row count";
-        return false;
-    }
-    const std::int64_t *k = nullptr;
-    const double *observed_us = nullptr, *predicted_us = nullptr,
-                 *ape_pct = nullptr;
-    if (!sized("cell.k", io::DType::I64, n_cells,
-               reinterpret_cast<const void **>(&k)) ||
-        !sized("cell.observed_us", io::DType::F64, n_cells,
-               reinterpret_cast<const void **>(&observed_us)) ||
-        !sized("cell.predicted_us", io::DType::F64, n_cells,
-               reinterpret_cast<const void **>(&predicted_us)) ||
-        !sized("cell.ape_pct", io::DType::F64, n_cells,
-               reinterpret_cast<const void **>(&ape_pct)))
-        return false;
-    parsed.cells.resize(n_cells);
-    for (std::size_t i = 0; i < n_cells; ++i) {
+    parsed.cells.resize(cells.rows());
+    for (std::size_t i = 0; i < cells.rows(); ++i) {
         EvalCell &cell = parsed.cells[i];
         cell.predictor = std::move(predictor[i]);
         cell.model = std::move(model[i]);
-        if (!hw::gpuModelFromName(gpu[i], cell.gpu)) {
-            *error = util::format("cell.gpu row %zu: unknown GPU '%s'",
-                                  i, gpu[i].c_str());
-            return false;
-        }
-        cell.k = static_cast<int>(k[i]);
         cell.observedUs = observed_us[i];
         cell.predictedUs = predicted_us[i];
         cell.apePct = ape_pct[i];
+        if (!checkCell(i, gpu[i], k[i], &cell, error))
+            return false;
     }
 
-    std::vector<std::string> recommended, observed_best;
-    predictor.clear();
-    model.clear();
-    if (!io::readStringColumn(file, "model.predictor", &predictor,
-                              error) ||
-        !io::readStringColumn(file, "model.model", &model, error) ||
-        !io::readStringColumn(file, "model.recommended", &recommended,
-                              error) ||
-        !io::readStringColumn(file, "model.observed_best",
-                              &observed_best, error))
+    io::RowGroup models(file, error);
+    predictor = models.str("model.predictor");
+    model = models.str("model.model");
+    std::vector<std::string> recommended =
+        models.str("model.recommended");
+    std::vector<std::string> observed_best =
+        models.str("model.observed_best");
+    const double *mape_pct = models.f64("model.mape_pct");
+    const double *rmse_us = models.f64("model.rmse_us");
+    const double *spearman = models.f64("model.spearman");
+    const std::uint8_t *agree = models.u8("model.agree");
+    if (!models.ok())
         return false;
-    const std::size_t n_models = predictor.size();
-    if (model.size() != n_models || recommended.size() != n_models ||
-        observed_best.size() != n_models) {
-        *error = "model.* columns disagree on row count";
-        return false;
-    }
-    const double *mape_pct = nullptr, *rmse_us = nullptr,
-                 *spearman = nullptr;
-    const std::uint8_t *agree = nullptr;
-    if (!sized("model.mape_pct", io::DType::F64, n_models,
-               reinterpret_cast<const void **>(&mape_pct)) ||
-        !sized("model.rmse_us", io::DType::F64, n_models,
-               reinterpret_cast<const void **>(&rmse_us)) ||
-        !sized("model.spearman", io::DType::F64, n_models,
-               reinterpret_cast<const void **>(&spearman)) ||
-        !sized("model.agree", io::DType::U8, n_models,
-               reinterpret_cast<const void **>(&agree)))
-        return false;
-    parsed.modelRows.resize(n_models);
-    for (std::size_t i = 0; i < n_models; ++i) {
+    parsed.modelRows.resize(models.rows());
+    for (std::size_t i = 0; i < models.rows(); ++i) {
         EvalModelRow &row = parsed.modelRows[i];
         row.predictor = std::move(predictor[i]);
         row.model = std::move(model[i]);
@@ -451,33 +422,28 @@ EvalReport::tryLoadCbf(const io::CbfFile &file, EvalReport *report,
         row.spearman = spearman[i];
         row.recommended = std::move(recommended[i]);
         row.observedBest = std::move(observed_best[i]);
-        row.agree = agree[i] != 0;
+        if (!checkModelRow(i, agree[i], &row, error))
+            return false;
     }
 
-    predictor.clear();
-    if (!io::readStringColumn(file, "summary.predictor", &predictor,
-                              error))
+    io::RowGroup sums(file, error);
+    predictor = sums.str("summary.predictor");
+    const double *s_mape = sums.f64("summary.mape_pct");
+    const double *s_rmse = sums.f64("summary.rmse_us");
+    const double *s_spearman = sums.f64("summary.mean_spearman");
+    const double *s_agreement = sums.f64("summary.agreement_rate");
+    if (!sums.ok())
         return false;
-    const std::size_t n_summary = predictor.size();
-    const double *s_mape = nullptr, *s_rmse = nullptr,
-                 *s_spearman = nullptr, *s_agreement = nullptr;
-    if (!sized("summary.mape_pct", io::DType::F64, n_summary,
-               reinterpret_cast<const void **>(&s_mape)) ||
-        !sized("summary.rmse_us", io::DType::F64, n_summary,
-               reinterpret_cast<const void **>(&s_rmse)) ||
-        !sized("summary.mean_spearman", io::DType::F64, n_summary,
-               reinterpret_cast<const void **>(&s_spearman)) ||
-        !sized("summary.agreement_rate", io::DType::F64, n_summary,
-               reinterpret_cast<const void **>(&s_agreement)))
-        return false;
-    parsed.summary.resize(n_summary);
-    for (std::size_t i = 0; i < n_summary; ++i) {
+    parsed.summary.resize(sums.rows());
+    for (std::size_t i = 0; i < sums.rows(); ++i) {
         EvalSummaryRow &row = parsed.summary[i];
         row.predictor = std::move(predictor[i]);
         row.mapePct = s_mape[i];
         row.rmseUs = s_rmse[i];
         row.meanSpearman = s_spearman[i];
         row.agreementRate = s_agreement[i];
+        if (!checkSummaryRow(i, row, error))
+            return false;
     }
 
     *report = std::move(parsed);
@@ -488,21 +454,8 @@ bool
 EvalReport::tryLoadFile(const std::string &path, EvalReport *report,
                         std::string *error)
 {
-    io::FileFormat format;
-    if (!io::sniffFile(path, &format, error))
-        return false;
-    if (format == io::FileFormat::Cbf) {
-        io::CbfFile file;
-        if (!io::CbfFile::tryLoad(path, &file, error))
-            return false;
-        return tryLoadCbf(file, report, error);
-    }
-    std::ifstream in(path);
-    if (!in) {
-        *error = "cannot open " + path;
-        return false;
-    }
-    return tryLoadCsv(in, report, error);
+    return io::tryLoadFile(path, report, &tryLoadCbf, &tryLoadCsv,
+                           error);
 }
 
 EvalReport

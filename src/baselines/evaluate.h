@@ -127,10 +127,8 @@ struct EvalReport
     static bool tryLoadCbf(const io::CbfFile &file, EvalReport *report,
                            std::string *error);
 
-    /**
-     * Loads @p path in either dialect, sniffed by magic bytes.
-     * @p report is untouched on failure.
-     */
+    /** io::tryLoadFile() over tryLoadCbf() and tryLoadCsv().
+        @p report is untouched on failure. */
     static bool tryLoadFile(const std::string &path, EvalReport *report,
                             std::string *error);
 };

@@ -5,7 +5,6 @@
 #include <mutex>
 #include <optional>
 
-#include "baselines/baselines.h"
 #include "core/predictor.h"
 #include "core/regression.h"
 #include "core/trainer.h"
@@ -98,7 +97,12 @@ class CeerVariantPredictor final : public Predictor
         plans_;
 };
 
-/** PALEO-style wrapper; training is a no-op (analytic model). */
+/**
+ * PALEO-style FLOP-count predictor: iteration time is the summed FLOPs
+ * of GPU ops divided by peak throughput at a fixed utilization. Knows
+ * nothing about memory-bound ops, input sizes, light/CPU ops or
+ * communication. Training is a no-op (analytic model).
+ */
 class PaleoFlopsPredictor final : public Predictor
 {
   public:
@@ -122,12 +126,20 @@ class PaleoFlopsPredictor final : public Predictor
     {
         if (!trained_)
             engineFatal(name_, "predict before trainFrom()");
-        return flops_.predictIterationUs(g, gpu);
+        double total_flops = 0.0;
+        for (const graph::Node &node : g.nodes()) {
+            if (node.device() == graph::Device::Gpu)
+                total_flops += hw::opCost(node).flops;
+        }
+        return total_flops /
+               (hw::gpuSpec(gpu).peakTflops * kUtilization * 1e6);
     }
 
   private:
+    /// Fraction of peak FLOP/s assumed achieved (PALEO's default).
+    static constexpr double kUtilization = 0.5;
+
     std::string name_;
-    FlopsPredictor flops_;
     bool trained_ = false;
 };
 
@@ -454,10 +466,10 @@ makePredictor(const std::string &name)
             name, core::PredictOptions{});
     if (name == "ceer_heavy_only")
         return std::make_unique<CeerVariantPredictor>(
-            name, heavyOnlyOptions());
+            name, core::PredictOptions{.includeLightAndCpu = false});
     if (name == "ceer_no_comm")
-        return std::make_unique<CeerVariantPredictor>(name,
-                                                      noCommOptions());
+        return std::make_unique<CeerVariantPredictor>(
+            name, core::PredictOptions{.includeComm = false});
     if (name == "paleo_flops")
         return std::make_unique<PaleoFlopsPredictor>();
     if (name == "profet")

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <istream>
 #include <map>
 #include <ostream>
 
 #include "io/cbf.h"
-#include "obs/metrics.h"
 #include "util/csv.h"
 #include "util/logging.h"
 #include "util/parse.h"
@@ -39,6 +37,46 @@ constexpr FamilyOffering kAws[] = {
     {GpuModel::T4, "g4dn.2xlarge", 0.752, "g4dn.12xlarge", 4, 3.912},
     {GpuModel::M60, "g3s.xlarge", 0.75, "g3.16xlarge", 4, 4.56},
 };
+
+/// Upper bound on an instance's GPU count, in both dialects.
+constexpr std::int64_t kMaxInstanceGpus = std::int64_t{1} << 20;
+
+/**
+ * The one row check for a catalog instance, shared by the CSV and CBF
+ * decoders: a known GPU, gpus in [1, kMaxInstanceGpus] (checked before
+ * it is narrowed to int) and a positive finite hourly price. Appends
+ * the instance to @p catalog on success.
+ */
+bool
+addInstance(std::size_t row, std::string name, const std::string &gpu,
+            std::int64_t gpus, double hourly_usd, InstanceCatalog *catalog,
+            std::string *error)
+{
+    GpuInstance instance;
+    if (!hw::gpuModelFromName(gpu, instance.gpu)) {
+        *error = util::format("row %zu: unknown GPU '%s'", row,
+                              gpu.c_str());
+        return false;
+    }
+    if (gpus < 1 || gpus > kMaxInstanceGpus) {
+        *error = util::format(
+            "row %zu: bad row for '%s': gpus %lld not in [1, %lld]", row,
+            name.c_str(), static_cast<long long>(gpus),
+            static_cast<long long>(kMaxInstanceGpus));
+        return false;
+    }
+    if (!(hourly_usd > 0.0) || !std::isfinite(hourly_usd)) {
+        *error = util::format(
+            "row %zu: bad row for '%s': hourly_usd %g is not a positive "
+            "finite price", row, name.c_str(), hourly_usd);
+        return false;
+    }
+    instance.name = std::move(name);
+    instance.numGpus = static_cast<int>(gpus);
+    instance.hourlyUsd = hourly_usd;
+    catalog->add(std::move(instance));
+    return true;
+}
 
 } // namespace
 
@@ -123,20 +161,12 @@ InstanceCatalog::tryFromCsv(std::istream &in, InstanceCatalog *catalog,
                 "hourly_usd)", i, row.size());
             return false;
         }
-        GpuInstance instance;
-        instance.name = row[0];
-        if (!hw::gpuModelFromName(row[1], instance.gpu)) {
-            *error = util::format("row %zu: unknown GPU '%s'", i,
-                                  row[1].c_str());
-            return false;
-        }
         const auto gpus = util::parseInt64(row[2]);
         if (!gpus) {
             *error = util::format("row %zu column 3 (gpus): %s: '%s'",
                                   i, gpus.error, row[2].c_str());
             return false;
         }
-        instance.numGpus = static_cast<int>(gpus.value);
         const auto price = util::parseDouble(row[3]);
         if (!price) {
             *error = util::format(
@@ -144,14 +174,9 @@ InstanceCatalog::tryFromCsv(std::istream &in, InstanceCatalog *catalog,
                 price.error, row[3].c_str());
             return false;
         }
-        instance.hourlyUsd = price.value;
-        if (instance.numGpus < 1 || !(instance.hourlyUsd > 0.0) ||
-            !std::isfinite(instance.hourlyUsd)) {
-            *error = util::format("row %zu: bad row for '%s'", i,
-                                  instance.name.c_str());
+        if (!addInstance(i, row[0], row[1], gpus.value, price.value,
+                         &parsed, error))
             return false;
-        }
-        parsed.add(std::move(instance));
     }
     *catalog = std::move(parsed);
     return true;
@@ -194,61 +219,20 @@ bool
 InstanceCatalog::tryLoadCbf(const io::CbfFile &file,
                             InstanceCatalog *catalog, std::string *error)
 {
-    const char *schema = nullptr;
-    std::size_t schema_size = 0;
-    if (!file.bytes("schema", &schema, &schema_size, error))
+    if (!io::checkSchema(file, "ceer.catalog.v1", "a catalog", error))
         return false;
-    const std::string schema_name(schema, schema_size);
-    if (schema_name != "ceer.catalog.v1") {
-        *error = "schema '" + schema_name +
-                 "' is not ceer.catalog.v1 (wrong container?)";
-        return false;
-    }
-    std::vector<std::string> names, gpus;
-    if (!io::readStringColumn(file, "cat.name", &names, error) ||
-        !io::readStringColumn(file, "cat.gpu", &gpus, error))
-        return false;
-    const std::size_t rows = names.size();
-    const std::int64_t *num_gpus = nullptr;
-    const double *prices = nullptr;
-    std::size_t n = 0;
-    const auto sized = [&](std::size_t count, const char *name) {
-        if (count == rows)
-            return true;
-        *error = util::format("column '%s' has %zu rows, expected %zu",
-                              name, count, rows);
-        return false;
-    };
-    if (!(file.i64("cat.gpus", &num_gpus, &n, error) &&
-          sized(n, "cat.gpus")) ||
-        !(file.f64("cat.hourly_usd", &prices, &n, error) &&
-          sized(n, "cat.hourly_usd")) ||
-        !sized(gpus.size(), "cat.gpu"))
+    io::RowGroup cat(file, error);
+    std::vector<std::string> names = cat.str("cat.name");
+    const std::vector<std::string> gpus = cat.str("cat.gpu");
+    const std::int64_t *num_gpus = cat.i64("cat.gpus");
+    const double *prices = cat.f64("cat.hourly_usd");
+    if (!cat.ok())
         return false;
     InstanceCatalog parsed;
-    for (std::size_t i = 0; i < rows; ++i) {
-        GpuInstance instance;
-        instance.name = std::move(names[i]);
-        if (!hw::gpuModelFromName(gpus[i], instance.gpu)) {
-            *error = util::format("row %zu: unknown GPU '%s'", i,
-                                  gpus[i].c_str());
+    for (std::size_t i = 0; i < cat.rows(); ++i) {
+        if (!addInstance(i, std::move(names[i]), gpus[i], num_gpus[i],
+                         prices[i], &parsed, error))
             return false;
-        }
-        if (num_gpus[i] < 1 || num_gpus[i] > 1 << 20) {
-            *error = util::format(
-                "row %zu: bad gpus %lld", i,
-                static_cast<long long>(num_gpus[i]));
-            return false;
-        }
-        instance.numGpus = static_cast<int>(num_gpus[i]);
-        instance.hourlyUsd = prices[i];
-        if (!(instance.hourlyUsd > 0.0) ||
-            !std::isfinite(instance.hourlyUsd)) {
-            *error = util::format("row %zu: bad hourly price for '%s'",
-                                  i, instance.name.c_str());
-            return false;
-        }
-        parsed.add(std::move(instance));
     }
     *catalog = std::move(parsed);
     return true;
@@ -258,37 +242,8 @@ bool
 InstanceCatalog::tryLoadFile(const std::string &path,
                              InstanceCatalog *catalog, std::string *error)
 {
-    OBS_TIMER("io.load_us");
-    io::FileFormat format;
-    if (!io::sniffFile(path, &format, error))
-        return false;
-    if (format == io::FileFormat::Cbf) {
-        io::CbfFile file;
-        std::string map_error;
-        if (!io::CbfFile::tryMap(path, &file, &map_error)) {
-            // mmap can fail on exotic filesystems; the streaming
-            // reader applies the identical validation.
-            if (!io::CbfFile::tryLoad(path, &file, error)) {
-                *error = path + ": " + *error;
-                return false;
-            }
-        }
-        if (!tryLoadCbf(file, catalog, error)) {
-            *error = path + ": " + *error;
-            return false;
-        }
-        return true;
-    }
-    std::ifstream in(path);
-    if (!in) {
-        *error = "cannot open '" + path + "'";
-        return false;
-    }
-    if (!tryFromCsv(in, catalog, error)) {
-        *error = path + ": " + *error;
-        return false;
-    }
-    return true;
+    return io::tryLoadFile(path, catalog, &tryLoadCbf, &tryFromCsv,
+                           error);
 }
 
 InstanceCatalog

@@ -122,12 +122,8 @@ class InstanceCatalog
     static bool tryLoadCbf(const io::CbfFile &file,
                            InstanceCatalog *catalog, std::string *error);
 
-    /**
-     * Loads @p path in either format, sniffed by magic bytes: CBF
-     * files take the mmap zero-copy path (falling back to the checked
-     * streaming reader when mapping fails), anything else parses as
-     * the CSV dialect. @p catalog is untouched on failure.
-     */
+    /** io::tryLoadFile() over tryLoadCbf() and tryFromCsv().
+        @p catalog is untouched on failure. */
     static bool tryLoadFile(const std::string &path,
                             InstanceCatalog *catalog, std::string *error);
 

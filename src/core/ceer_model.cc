@@ -1,13 +1,11 @@
 #include "core/ceer_model.h"
 
 #include <algorithm>
-#include <fstream>
 #include <istream>
 #include <ostream>
 
 #include "core/regression.h"
 #include "io/cbf.h"
-#include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/parse.h"
 #include "util/strings.h"
@@ -103,6 +101,77 @@ CeerModel::opModelR2Range() const
         return {0.0, 0.0};
     return {lo, hi};
 }
+
+namespace {
+
+/// Widest data-parallel group a comm fit may describe, in both
+/// dialects; k sizes the per-GPU fit table, so it is bounded first.
+constexpr std::uint64_t kMaxCommK = 1024;
+
+/**
+ * The one row check for an op_model record, shared by the text and
+ * CBF decoders: a known GPU and op and a well-formed fit. Adds
+ * @p entry (its plain fields already decoded) to @p model.
+ */
+bool
+addOpModel(const std::string &gpu, const std::string &op,
+           const std::string &fit, OpTimeModel entry, CeerModel *model,
+           std::string *error)
+{
+    if (!hw::gpuModelFromName(gpu, entry.gpu)) {
+        *error = "bad op_model GPU '" + gpu + "'";
+        return false;
+    }
+    if (!graph::opTypeFromName(op, entry.op)) {
+        *error = "bad op_model op '" + op + "'";
+        return false;
+    }
+    std::string fit_error;
+    if (!LinearModel::tryDeserialize(fit, &entry.model, &fit_error)) {
+        *error = "op_model fit: " + fit_error;
+        return false;
+    }
+    model->opModels.emplace(std::make_pair(entry.gpu, entry.op),
+                            std::move(entry));
+    return true;
+}
+
+/**
+ * The one row check for a comm_fit record, shared by the text and CBF
+ * decoders: a known GPU, k in [1, kMaxCommK] (checked before k sizes
+ * the per-k table) and a well-formed fit. Adds the fit to @p model.
+ */
+bool
+addCommFit(const std::string &gpu_name, std::uint64_t k, double r2,
+           const std::string &fit, CeerModel *model, std::string *error)
+{
+    GpuModel gpu;
+    if (!hw::gpuModelFromName(gpu_name, gpu)) {
+        *error = "bad comm_fit GPU '" + gpu_name + "'";
+        return false;
+    }
+    if (k < 1 || k > kMaxCommK) {
+        *error = util::format("comm_fit k must be in [1, %llu], got %llu",
+                              static_cast<unsigned long long>(kMaxCommK),
+                              static_cast<unsigned long long>(k));
+        return false;
+    }
+    CommModel::Fit parsed;
+    std::string fit_error;
+    if (!LinearModel::tryDeserialize(fit, &parsed.model, &fit_error)) {
+        *error = "comm_fit: " + fit_error;
+        return false;
+    }
+    parsed.r2 = r2;
+    parsed.valid = true;
+    auto &per_k = model->comm.fits[gpu];
+    if (per_k.size() < k)
+        per_k.resize(k);
+    per_k[k - 1] = std::move(parsed);
+    return true;
+}
+
+} // namespace
 
 void
 CeerModel::save(std::ostream &out) const
@@ -213,14 +282,7 @@ CeerModel::tryLoad(std::istream &in, CeerModel *model,
         } else if (tag == "op_model") {
             if (!require(9))
                 return false;
-            GpuModel gpu;
-            OpType op;
-            if (!hw::gpuModelFromName(fields[1], gpu) ||
-                !graph::opTypeFromName(fields[2], op))
-                return fail("bad op_model line");
             OpTimeModel entry;
-            entry.gpu = gpu;
-            entry.op = op;
             entry.quadratic = fields[3] == "1";
             entry.usable = fields[4] == "1";
             if (!parse_double(fields[5], "r2", &entry.r2) ||
@@ -231,36 +293,24 @@ CeerModel::tryLoad(std::istream &in, CeerModel *model,
                 return fail("bad op_model points '" + fields[7] +
                             "': " + points.error);
             entry.points = points.value;
-            std::string model_error;
-            if (!LinearModel::tryDeserialize(fields[8], &entry.model,
-                                             &model_error))
-                return fail("op_model fit: " + model_error);
-            parsed.opModels.emplace(std::make_pair(gpu, op),
-                                    std::move(entry));
+            std::string row_error;
+            if (!addOpModel(fields[1], fields[2], fields[8],
+                            std::move(entry), &parsed, &row_error))
+                return fail(row_error);
         } else if (tag == "comm_fit") {
             if (!require(5))
                 return false;
-            GpuModel gpu;
-            if (!hw::gpuModelFromName(fields[1], gpu))
-                return fail("bad comm_fit line");
-            const auto k_parsed = util::parseSize(fields[2]);
-            if (!k_parsed)
+            const auto k = util::parseSize(fields[2]);
+            if (!k)
                 return fail("bad comm_fit k '" + fields[2] + "': " +
-                            k_parsed.error);
-            const std::size_t k = k_parsed.value;
-            if (k == 0)
-                return fail("comm_fit k must be >= 1");
-            auto &per_k = parsed.comm.fits[gpu];
-            if (per_k.size() < k)
-                per_k.resize(k);
-            std::string model_error;
-            if (!parse_double(fields[3], "r2", &per_k[k - 1].r2))
+                            k.error);
+            double r2 = 0.0;
+            if (!parse_double(fields[3], "r2", &r2))
                 return false;
-            if (!LinearModel::tryDeserialize(fields[4],
-                                             &per_k[k - 1].model,
-                                             &model_error))
-                return fail("comm_fit: " + model_error);
-            per_k[k - 1].valid = true;
+            std::string row_error;
+            if (!addCommFit(fields[1], k.value, r2, fields[4], &parsed,
+                            &row_error))
+                return fail(row_error);
         } else {
             return fail("unknown tag '" + tag + "'");
         }
@@ -333,35 +383,26 @@ bool
 CeerModel::tryLoadCbf(const io::CbfFile &file, CeerModel *model,
                       std::string *error)
 {
-    const char *schema = nullptr;
-    std::size_t schema_size = 0;
-    if (!file.bytes("schema", &schema, &schema_size, error))
+    if (!io::checkSchema(file, "ceer.model.v1", "a model", error))
         return false;
-    const std::string schema_name(schema, schema_size);
-    if (schema_name != "ceer.model.v1") {
-        *error = "schema '" + schema_name +
-                 "' is not ceer.model.v1 (wrong container?)";
+
+    // The three scalars form one single-row group.
+    io::RowGroup scalar(file, error);
+    const double *threshold = scalar.f64("scalar.heavy_threshold_us");
+    const double *light = scalar.f64("scalar.light_median_us");
+    const double *cpu = scalar.f64("scalar.cpu_median_us");
+    if (!scalar.ok())
+        return false;
+    if (scalar.rows() != 1) {
+        *error = util::format(
+            "column 'scalar.heavy_threshold_us' has %zu values, "
+            "expected 1", scalar.rows());
         return false;
     }
-
     CeerModel parsed;
-    const auto scalar = [&](const char *name, double *out) {
-        const double *data = nullptr;
-        std::size_t count = 0;
-        if (!file.f64(name, &data, &count, error))
-            return false;
-        if (count != 1) {
-            *error = util::format(
-                "column '%s' has %zu values, expected 1", name, count);
-            return false;
-        }
-        *out = data[0];
-        return true;
-    };
-    if (!scalar("scalar.heavy_threshold_us", &parsed.heavyThresholdUs) ||
-        !scalar("scalar.light_median_us", &parsed.lightMedianUs) ||
-        !scalar("scalar.cpu_median_us", &parsed.cpuMedianUs))
-        return false;
+    parsed.heavyThresholdUs = threshold[0];
+    parsed.lightMedianUs = light[0];
+    parsed.cpuMedianUs = cpu[0];
 
     std::vector<std::string> heavy;
     if (!io::readStringColumn(file, "heavy_ops", &heavy, error))
@@ -376,104 +417,44 @@ CeerModel::tryLoadCbf(const io::CbfFile &file, CeerModel *model,
         parsed.heavyOps.insert(op);
     }
 
-    const auto sized = [&](std::size_t count, std::size_t rows,
-                           const char *name) {
-        if (count == rows)
-            return true;
-        *error = util::format("column '%s' has %zu rows, expected %zu",
-                              name, count, rows);
+    io::RowGroup om(file, error);
+    const std::vector<std::string> om_gpu = om.str("om.gpu");
+    const std::vector<std::string> om_op = om.str("om.op");
+    const std::vector<std::string> om_fit = om.str("om.fit");
+    const std::uint8_t *om_quadratic = om.u8("om.quadratic");
+    const std::uint8_t *om_usable = om.u8("om.usable");
+    const double *om_r2 = om.f64("om.r2");
+    const double *om_median = om.f64("om.median_us");
+    const std::uint64_t *om_points = om.u64("om.points");
+    if (!om.ok())
         return false;
-    };
-
-    std::vector<std::string> om_gpu, om_op, om_fit;
-    if (!io::readStringColumn(file, "om.gpu", &om_gpu, error) ||
-        !io::readStringColumn(file, "om.op", &om_op, error) ||
-        !io::readStringColumn(file, "om.fit", &om_fit, error))
-        return false;
-    const std::size_t om_rows = om_gpu.size();
-    const std::uint8_t *om_quadratic = nullptr, *om_usable = nullptr;
-    const double *om_r2 = nullptr, *om_median = nullptr;
-    const std::uint64_t *om_points = nullptr;
-    std::size_t n = 0;
-    if (!(file.u8("om.quadratic", &om_quadratic, &n, error) &&
-          sized(n, om_rows, "om.quadratic")) ||
-        !(file.u8("om.usable", &om_usable, &n, error) &&
-          sized(n, om_rows, "om.usable")) ||
-        !(file.f64("om.r2", &om_r2, &n, error) &&
-          sized(n, om_rows, "om.r2")) ||
-        !(file.f64("om.median_us", &om_median, &n, error) &&
-          sized(n, om_rows, "om.median_us")) ||
-        !(file.u64("om.points", &om_points, &n, error) &&
-          sized(n, om_rows, "om.points")) ||
-        !sized(om_op.size(), om_rows, "om.op") ||
-        !sized(om_fit.size(), om_rows, "om.fit"))
-        return false;
-    for (std::size_t i = 0; i < om_rows; ++i) {
+    for (std::size_t i = 0; i < om.rows(); ++i) {
         OpTimeModel entry;
-        if (!hw::gpuModelFromName(om_gpu[i], entry.gpu)) {
-            *error = util::format("om row %zu: bad GPU '%s'", i,
-                                  om_gpu[i].c_str());
-            return false;
-        }
-        if (!graph::opTypeFromName(om_op[i], entry.op)) {
-            *error = util::format("om row %zu: bad op '%s'", i,
-                                  om_op[i].c_str());
-            return false;
-        }
         entry.quadratic = om_quadratic[i] != 0;
         entry.usable = om_usable[i] != 0;
         entry.r2 = om_r2[i];
         entry.medianUs = om_median[i];
         entry.points = om_points[i];
-        std::string model_error;
-        if (!LinearModel::tryDeserialize(om_fit[i], &entry.model,
-                                         &model_error)) {
-            *error = util::format("om row %zu: fit: ", i) + model_error;
+        if (!addOpModel(om_gpu[i], om_op[i], om_fit[i], std::move(entry),
+                        &parsed, error)) {
+            *error = util::format("om row %zu: ", i) + *error;
             return false;
         }
-        parsed.opModels.emplace(std::make_pair(entry.gpu, entry.op),
-                                std::move(entry));
     }
 
-    std::vector<std::string> cf_gpu, cf_fit;
-    if (!io::readStringColumn(file, "cf.gpu", &cf_gpu, error) ||
-        !io::readStringColumn(file, "cf.fit", &cf_fit, error))
+    io::RowGroup cf(file, error);
+    const std::vector<std::string> cf_gpu = cf.str("cf.gpu");
+    const std::vector<std::string> cf_fit = cf.str("cf.fit");
+    const std::uint64_t *cf_k = cf.u64("cf.k");
+    const double *cf_r2 = cf.f64("cf.r2");
+    if (!cf.ok())
         return false;
-    const std::size_t cf_rows = cf_gpu.size();
-    const std::uint64_t *cf_k = nullptr;
-    const double *cf_r2 = nullptr;
-    if (!(file.u64("cf.k", &cf_k, &n, error) &&
-          sized(n, cf_rows, "cf.k")) ||
-        !(file.f64("cf.r2", &cf_r2, &n, error) &&
-          sized(n, cf_rows, "cf.r2")) ||
-        !sized(cf_fit.size(), cf_rows, "cf.fit"))
-        return false;
-    for (std::size_t i = 0; i < cf_rows; ++i) {
-        GpuModel gpu;
-        if (!hw::gpuModelFromName(cf_gpu[i], gpu)) {
-            *error = util::format("cf row %zu: bad GPU '%s'", i,
-                                  cf_gpu[i].c_str());
+    for (std::size_t i = 0; i < cf.rows(); ++i) {
+        if (!addCommFit(cf_gpu[i], cf_k[i], cf_r2[i], cf_fit[i], &parsed,
+                        error)) {
+            *error = util::format("cf row %zu: ", i) + *error;
             return false;
         }
-        const std::uint64_t k = cf_k[i];
-        if (k == 0 || k > 1024) {
-            *error = util::format(
-                "cf row %zu: bad k %llu", i,
-                static_cast<unsigned long long>(k));
-            return false;
-        }
-        auto &per_k = parsed.comm.fits[gpu];
-        if (per_k.size() < k)
-            per_k.resize(k);
-        per_k[k - 1].r2 = cf_r2[i];
-        std::string model_error;
-        if (!LinearModel::tryDeserialize(cf_fit[i],
-                                         &per_k[k - 1].model,
-                                         &model_error)) {
-            *error = util::format("cf row %zu: fit: ", i) + model_error;
-            return false;
-        }
-        per_k[k - 1].valid = true;
     }
 
     *model = std::move(parsed);
@@ -484,37 +465,7 @@ bool
 CeerModel::tryLoadFile(const std::string &path, CeerModel *model,
                        std::string *error)
 {
-    OBS_TIMER("io.load_us");
-    io::FileFormat format;
-    if (!io::sniffFile(path, &format, error))
-        return false;
-    if (format == io::FileFormat::Cbf) {
-        io::CbfFile file;
-        std::string map_error;
-        if (!io::CbfFile::tryMap(path, &file, &map_error)) {
-            // mmap can fail on exotic filesystems; the streaming
-            // reader applies the identical validation.
-            if (!io::CbfFile::tryLoad(path, &file, error)) {
-                *error = path + ": " + *error;
-                return false;
-            }
-        }
-        if (!tryLoadCbf(file, model, error)) {
-            *error = path + ": " + *error;
-            return false;
-        }
-        return true;
-    }
-    std::ifstream in(path);
-    if (!in) {
-        *error = "cannot open '" + path + "'";
-        return false;
-    }
-    if (!tryLoad(in, model, error)) {
-        *error = path + ": " + *error;
-        return false;
-    }
-    return true;
+    return io::tryLoadFile(path, model, &tryLoadCbf, &tryLoad, error);
 }
 
 CeerModel

@@ -145,12 +145,8 @@ struct CeerModel
     static bool tryLoadCbf(const io::CbfFile &file, CeerModel *model,
                            std::string *error);
 
-    /**
-     * Loads @p path in either format, sniffed by magic bytes: CBF
-     * files take the mmap zero-copy path (falling back to the checked
-     * streaming reader when mapping fails), anything else parses as
-     * the text dialect. @p model is untouched on failure.
-     */
+    /** io::tryLoadFile() over tryLoadCbf() and tryLoad().
+        @p model is untouched on failure. */
     static bool tryLoadFile(const std::string &path, CeerModel *model,
                             std::string *error);
 

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <map>
 #include <ostream>
+#include <string_view>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -701,6 +702,14 @@ CbfFile::tryMap(const std::string &path, CbfFile *out,
     return true;
 }
 
+bool
+CbfFile::tryOpen(const std::string &path, CbfFile *out,
+                 std::string *error)
+{
+    std::string map_error;
+    return tryMap(path, out, &map_error) || tryLoad(path, out, error);
+}
+
 const ColumnDesc *
 CbfFile::find(const std::string &name) const
 {
@@ -719,10 +728,10 @@ CbfFile::columnData(const ColumnDesc &desc) const
     return base + desc.offset;
 }
 
+template <typename T>
 bool
-CbfFile::typedColumn(const std::string &name, DType dtype,
-                     const void **data, std::size_t *count,
-                     std::string *error) const
+CbfFile::typedColumn(const std::string &name, DType dtype, const T **data,
+                     std::size_t *count, std::string *error) const
 {
     const ColumnDesc *desc = find(name);
     if (!desc) {
@@ -735,7 +744,8 @@ CbfFile::typedColumn(const std::string &name, DType dtype,
                  dtypeName(dtype);
         return false;
     }
-    *data = columnData(*desc);
+    *data = static_cast<const T *>(
+        static_cast<const void *>(columnData(*desc)));
     *count = desc->count;
     return true;
 }
@@ -744,143 +754,77 @@ bool
 CbfFile::f64(const std::string &name, const double **data,
              std::size_t *count, std::string *error) const
 {
-    const void *raw;
-    if (!typedColumn(name, DType::F64, &raw, count, error))
-        return false;
-    *data = static_cast<const double *>(raw);
-    return true;
+    return typedColumn(name, DType::F64, data, count, error);
 }
 
 bool
 CbfFile::u64(const std::string &name, const std::uint64_t **data,
              std::size_t *count, std::string *error) const
 {
-    const void *raw;
-    if (!typedColumn(name, DType::U64, &raw, count, error))
-        return false;
-    *data = static_cast<const std::uint64_t *>(raw);
-    return true;
+    return typedColumn(name, DType::U64, data, count, error);
 }
 
 bool
 CbfFile::i64(const std::string &name, const std::int64_t **data,
              std::size_t *count, std::string *error) const
 {
-    const void *raw;
-    if (!typedColumn(name, DType::I64, &raw, count, error))
-        return false;
-    *data = static_cast<const std::int64_t *>(raw);
-    return true;
+    return typedColumn(name, DType::I64, data, count, error);
 }
 
 bool
 CbfFile::u8(const std::string &name, const std::uint8_t **data,
             std::size_t *count, std::string *error) const
 {
-    const void *raw;
-    if (!typedColumn(name, DType::U8, &raw, count, error))
-        return false;
-    *data = static_cast<const std::uint8_t *>(raw);
-    return true;
+    return typedColumn(name, DType::U8, data, count, error);
 }
 
 bool
 CbfFile::bytes(const std::string &name, const char **data,
                std::size_t *size, std::string *error) const
 {
-    const void *raw;
-    if (!typedColumn(name, DType::Bytes, &raw, size, error))
-        return false;
-    *data = static_cast<const char *>(raw);
-    return true;
+    return typedColumn(name, DType::Bytes, data, size, error);
 }
 
-void
-addStringColumn(CbfBuilder *builder, const std::string &name,
-                const std::vector<std::string> &values)
+namespace {
+
+/** Concatenates @p values into @p flat; returns the N+1 offsets. */
+template <typename Flat, typename Value>
+std::vector<std::uint64_t>
+flatten(const std::vector<Value> &values, Flat *flat)
 {
-    std::string blob;
     std::vector<std::uint64_t> offsets;
     offsets.reserve(values.size() + 1);
     offsets.push_back(0);
-    for (const std::string &value : values) {
-        blob += value;
-        offsets.push_back(blob.size());
+    for (const Value &value : values) {
+        flat->insert(flat->end(), value.begin(), value.end());
+        offsets.push_back(flat->size());
     }
-    builder->addBytes(name, blob);
-    builder->addU64(name + ".off", offsets);
+    return offsets;
 }
 
+/**
+ * Splits the @p size elements at @p flat into the values delimited by
+ * the validated "<name>.off" offsets (monotone, in range). @p out is
+ * untouched on failure.
+ */
+template <typename Value, typename Elem>
 bool
-readStringColumn(const CbfFile &file, const std::string &name,
-                 std::vector<std::string> *out, std::string *error)
+unflatten(const CbfFile &file, const std::string &name, const Elem *flat,
+          std::size_t size, std::vector<Value> *out, std::string *error)
 {
-    const char *blob;
-    std::size_t blob_size;
-    const std::uint64_t *offsets;
-    std::size_t offset_count;
-    if (!file.bytes(name, &blob, &blob_size, error) ||
-        !file.u64(name + ".off", &offsets, &offset_count, error))
+    const std::uint64_t *offsets = nullptr;
+    std::size_t offset_count = 0;
+    if (!file.u64(name + ".off", &offsets, &offset_count, error))
         return false;
     if (offset_count == 0 || offsets[0] != 0 ||
-        offsets[offset_count - 1] != blob_size) {
+        offsets[offset_count - 1] != size) {
         *error = "column '" + name + ".off': bad offset vector";
         return false;
     }
-    std::vector<std::string> values;
+    std::vector<Value> values;
     values.reserve(offset_count - 1);
     for (std::size_t i = 0; i + 1 < offset_count; ++i) {
-        if (offsets[i + 1] < offsets[i] || offsets[i + 1] > blob_size) {
-            *error = util::format(
-                "column '%s.off': offset %zu out of order",
-                name.c_str(), i + 1);
-            return false;
-        }
-        values.emplace_back(blob + offsets[i],
-                            offsets[i + 1] - offsets[i]);
-    }
-    *out = std::move(values);
-    return true;
-}
-
-void
-addF64ListColumn(CbfBuilder *builder, const std::string &name,
-                 const std::vector<std::vector<double>> &values)
-{
-    std::vector<double> flat;
-    std::vector<std::uint64_t> offsets;
-    offsets.reserve(values.size() + 1);
-    offsets.push_back(0);
-    for (const std::vector<double> &value : values) {
-        flat.insert(flat.end(), value.begin(), value.end());
-        offsets.push_back(flat.size());
-    }
-    builder->addF64(name, flat);
-    builder->addU64(name + ".off", offsets);
-}
-
-bool
-readF64ListColumn(const CbfFile &file, const std::string &name,
-                  std::vector<std::vector<double>> *out,
-                  std::string *error)
-{
-    const double *flat;
-    std::size_t flat_count;
-    const std::uint64_t *offsets;
-    std::size_t offset_count;
-    if (!file.f64(name, &flat, &flat_count, error) ||
-        !file.u64(name + ".off", &offsets, &offset_count, error))
-        return false;
-    if (offset_count == 0 || offsets[0] != 0 ||
-        offsets[offset_count - 1] != flat_count) {
-        *error = "column '" + name + ".off': bad offset vector";
-        return false;
-    }
-    std::vector<std::vector<double>> values;
-    values.reserve(offset_count - 1);
-    for (std::size_t i = 0; i + 1 < offset_count; ++i) {
-        if (offsets[i + 1] < offsets[i] ||
-            offsets[i + 1] > flat_count) {
+        if (offsets[i + 1] < offsets[i] || offsets[i + 1] > size) {
             *error = util::format(
                 "column '%s.off': offset %zu out of order",
                 name.c_str(), i + 1);
@@ -890,6 +834,111 @@ readF64ListColumn(const CbfFile &file, const std::string &name,
     }
     *out = std::move(values);
     return true;
+}
+
+} // namespace
+
+void
+addStringColumn(CbfBuilder *builder, const std::string &name,
+                const std::vector<std::string> &values)
+{
+    std::string blob;
+    const std::vector<std::uint64_t> offsets = flatten(values, &blob);
+    builder->addBytes(name, blob);
+    builder->addU64(name + ".off", offsets);
+}
+
+bool
+readStringColumn(const CbfFile &file, const std::string &name,
+                 std::vector<std::string> *out, std::string *error)
+{
+    const char *blob = nullptr;
+    std::size_t blob_size = 0;
+    return file.bytes(name, &blob, &blob_size, error) &&
+           unflatten(file, name, blob, blob_size, out, error);
+}
+
+void
+addF64ListColumn(CbfBuilder *builder, const std::string &name,
+                 const std::vector<std::vector<double>> &values)
+{
+    std::vector<double> flat;
+    const std::vector<std::uint64_t> offsets = flatten(values, &flat);
+    builder->addF64(name, flat);
+    builder->addU64(name + ".off", offsets);
+}
+
+bool
+readF64ListColumn(const CbfFile &file, const std::string &name,
+                  std::vector<std::vector<double>> *out,
+                  std::string *error)
+{
+    const double *flat = nullptr;
+    std::size_t flat_count = 0;
+    return file.f64(name, &flat, &flat_count, error) &&
+           unflatten(file, name, flat, flat_count, out, error);
+}
+
+bool
+checkSchema(const CbfFile &file, const char *schema, const char *what,
+            std::string *error)
+{
+    const char *data = nullptr;
+    std::size_t size = 0;
+    if (!file.bytes("schema", &data, &size, error))
+        return false;
+    if (std::string_view(data, size) == schema)
+        return true;
+    *error = util::format("not %s CBF: schema '%s' is not %s", what,
+                          std::string(data, size).c_str(), schema);
+    return false;
+}
+
+bool
+RowGroup::sized(const char *name, std::size_t count)
+{
+    if (!first_) {
+        first_ = name;
+        rows_ = count;
+    } else if (count != rows_) {
+        *error_ = util::format(
+            "column %s: expected %zu rows, got %zu (as in %s; columns "
+            "disagree on row count)", name, rows_, count, first_);
+        ok_ = false;
+    }
+    return ok_;
+}
+
+const void *
+RowGroup::column(const char *name, DType dtype)
+{
+    if (ok_ && !file_.find(name)) {
+        *error_ = std::string("missing column ") + name;
+        ok_ = false;
+    }
+    const void *data = nullptr;
+    std::size_t count = 0;
+    ok_ = ok_ && file_.typedColumn(name, dtype, &data, &count, error_) &&
+          sized(name, count);
+    return ok_ ? data : nullptr;
+}
+
+std::vector<std::string>
+RowGroup::str(const char *name)
+{
+    std::vector<std::string> out;
+    ok_ = ok_ && readStringColumn(file_, name, &out, error_) &&
+          sized(name, out.size());
+    return out;
+}
+
+std::vector<std::vector<double>>
+RowGroup::f64Lists(const char *name)
+{
+    std::vector<std::vector<double>> out;
+    ok_ = ok_ && readF64ListColumn(file_, name, &out, error_) &&
+          sized(name, out.size());
+    return out;
 }
 
 bool
@@ -909,6 +958,34 @@ sniffFile(const std::string &path, FileFormat *format,
                   ? FileFormat::Cbf
                   : FileFormat::Text;
     return true;
+}
+
+bool
+tryLoadFile(
+    const std::string &path,
+    const std::function<bool(const CbfFile &, std::string *)> &fromCbf,
+    const std::function<bool(std::istream &, std::string *)> &fromText,
+    std::string *error)
+{
+    OBS_TIMER("io.load_us");
+    FileFormat format = FileFormat::Text;
+    if (!sniffFile(path, &format, error))
+        return false;
+    bool ok = false;
+    if (format == FileFormat::Cbf) {
+        CbfFile file;
+        ok = CbfFile::tryOpen(path, &file, error) && fromCbf(file, error);
+    } else {
+        std::ifstream in(path);
+        if (!in) {
+            *error = "cannot open '" + path + "'";
+            return false;
+        }
+        ok = fromText(in, error);
+    }
+    if (!ok)
+        *error = path + ": " + *error;
+    return ok;
 }
 
 } // namespace io

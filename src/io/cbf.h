@@ -35,6 +35,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -204,6 +205,14 @@ class CbfFile
     static bool tryMap(const std::string &path, CbfFile *out,
                        std::string *error);
 
+    /**
+     * tryMap(), falling back to tryLoad() when the mapping fails (mmap
+     * can fail on exotic filesystems; the streaming reader applies the
+     * identical validation). On failure @p error is tryLoad()'s.
+     */
+    static bool tryOpen(const std::string &path, CbfFile *out,
+                        std::string *error);
+
     /** Validates an in-memory byte string (tests, cache probes). */
     static bool tryParse(std::string bytes, CbfFile *out,
                          std::string *error);
@@ -249,10 +258,12 @@ class CbfFile
                std::size_t *size, std::string *error) const;
 
   private:
+    friend class RowGroup;
+
     const char *columnData(const ColumnDesc &desc) const;
-    bool typedColumn(const std::string &name, DType dtype,
-                     const void **data, std::size_t *count,
-                     std::string *error) const;
+    template <typename T>
+    bool typedColumn(const std::string &name, DType dtype, const T **data,
+                     std::size_t *count, std::string *error) const;
     void reset();
 
     std::string owned_;          ///< Streaming-read buffer.
@@ -280,6 +291,69 @@ bool readF64ListColumn(const CbfFile &file, const std::string &name,
                        std::vector<std::vector<double>> *out,
                        std::string *error);
 
+/**
+ * Fails unless the "schema" column of @p file reads @p schema. @p what
+ * names the artifact with its article ("a catalog") so the error reads
+ * "not a catalog CBF: schema '...' is not ceer.catalog.v1".
+ */
+bool checkSchema(const CbfFile &file, const char *schema,
+                 const char *what, std::string *error);
+
+/**
+ * Reads one group of equal-length columns (one record type) out of a
+ * CBF file. The first column read fixes the group's row count; every
+ * later read checks that its column is present, has the expected
+ * dtype and holds exactly that many rows. Numeric reads return
+ * zero-copy pointers into the file. The first failure sticks in the
+ * caller's error string and turns every later read into a no-op that
+ * returns nullptr or an empty vector, so a decoder reads all of its
+ * columns and then checks ok() once. Column names must outlive the
+ * group (decoders pass string literals): the first one is kept for
+ * error messages.
+ */
+class RowGroup
+{
+  public:
+    RowGroup(const CbfFile &file, std::string *error)
+        : file_(file), error_(error)
+    {}
+
+    bool ok() const { return ok_; }
+    std::size_t rows() const { return rows_; }
+
+    /** A list-of-strings column (see addStringColumn). */
+    std::vector<std::string> str(const char *name);
+    /** A list-of-f64-lists column (see addF64ListColumn). */
+    std::vector<std::vector<double>> f64Lists(const char *name);
+
+    const double *f64(const char *name)
+    {
+        return static_cast<const double *>(column(name, DType::F64));
+    }
+    const std::uint64_t *u64(const char *name)
+    {
+        return static_cast<const std::uint64_t *>(column(name, DType::U64));
+    }
+    const std::int64_t *i64(const char *name)
+    {
+        return static_cast<const std::int64_t *>(column(name, DType::I64));
+    }
+    const std::uint8_t *u8(const char *name)
+    {
+        return static_cast<const std::uint8_t *>(column(name, DType::U8));
+    }
+
+  private:
+    const void *column(const char *name, DType dtype);
+    bool sized(const char *name, std::size_t count);
+
+    const CbfFile &file_;
+    std::string *error_;
+    const char *first_ = nullptr; ///< The column that fixed rows_.
+    std::size_t rows_ = 0;
+    bool ok_ = true;
+};
+
 /** What sniffFile() decided a file is. */
 enum class FileFormat { Cbf, Text };
 
@@ -291,6 +365,38 @@ enum class FileFormat { Cbf, Text };
  */
 bool sniffFile(const std::string &path, FileFormat *format,
                std::string *error);
+
+/**
+ * The one loader behind every artifact's tryLoadFile(): sniffs
+ * @p path, hands a CBF file (opened with CbfFile::tryOpen) to
+ * @p fromCbf and anything else, as a text stream, to @p fromText.
+ * Every failure after the sniff is prefixed with the path, and the
+ * whole load is timed into the io.load_us histogram.
+ */
+bool tryLoadFile(
+    const std::string &path,
+    const std::function<bool(const CbfFile &, std::string *)> &fromCbf,
+    const std::function<bool(std::istream &, std::string *)> &fromText,
+    std::string *error);
+
+/** tryLoadFile() over an artifact's two static decoders. */
+template <typename T>
+bool
+tryLoadFile(const std::string &path, T *out,
+            bool (*fromCbf)(const CbfFile &, T *, std::string *),
+            bool (*fromText)(std::istream &, T *, std::string *),
+            std::string *error)
+{
+    return tryLoadFile(
+        path,
+        [&](const CbfFile &file, std::string *e) {
+            return fromCbf(file, out, e);
+        },
+        [&](std::istream &in, std::string *e) {
+            return fromText(in, out, e);
+        },
+        error);
+}
 
 } // namespace io
 } // namespace ceer

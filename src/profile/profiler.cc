@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -139,6 +139,37 @@ ProfileDataset::opTypes(hw::GpuModel gpu) const
     return out;
 }
 
+namespace {
+
+/**
+ * The one row check for an iteration row, shared by the CSV and CBF
+ * decoders: a known GPU and num_gpus in [1, INT_MAX], checked before
+ * it is narrowed to int. @p row numbers the row in the caller's
+ * dialect.
+ */
+bool
+checkIterationRow(std::size_t row, const std::string &gpu,
+                  std::int64_t num_gpus, IterationProfile *run,
+                  std::string *error)
+{
+    if (!hw::gpuModelFromName(gpu, run->gpu)) {
+        *error = util::format("iter row %zu: bad GPU '%s'", row,
+                              gpu.c_str());
+        return false;
+    }
+    if (num_gpus < 1 || num_gpus > std::numeric_limits<int>::max()) {
+        *error = util::format(
+            "iter row %zu: num_gpus %lld not in [1, %d]", row,
+            static_cast<long long>(num_gpus),
+            std::numeric_limits<int>::max());
+        return false;
+    }
+    run->numGpus = static_cast<int>(num_gpus);
+    return true;
+}
+
+} // namespace
+
 void
 ProfileDataset::saveCsv(std::ostream &out) const
 {
@@ -230,18 +261,13 @@ ProfileDataset::tryLoadCsv(std::istream &in, ProfileDataset *dataset,
         if (row[0] == "iter") {
             IterationProfile run;
             run.model = row[1];
-            if (!hw::gpuModelFromName(row[2], run.gpu)) {
-                *error = "bad GPU " + row[2];
-                return false;
-            }
             const auto num_gpus = util::parseInt64(row[3]);
-            if (!num_gpus || num_gpus.value < 1) {
+            if (!num_gpus) {
                 *error = util::format(
                     "row %zu column 4 (num_gpus): bad value '%s'", i,
                     row[3].c_str());
                 return false;
             }
-            run.numGpus = static_cast<int>(num_gpus.value);
             const auto params = util::parseInt64(row[4]);
             if (!params) {
                 *error = util::format(
@@ -255,7 +281,9 @@ ProfileDataset::tryLoadCsv(std::istream &in, ProfileDataset *dataset,
                 !parse_double(row[8], 9, "mean_compute_us",
                               &run.meanComputeUs) ||
                 !parse_double(row[9], 10, "mean_comm_us",
-                              &run.meanCommUs))
+                              &run.meanCommUs) ||
+                !checkIterationRow(i, row[2], num_gpus.value, &run,
+                                   error))
                 return false;
             parsed.iterations_.push_back(std::move(run));
             continue;
@@ -412,70 +440,31 @@ bool
 ProfileDataset::tryLoadCbf(const io::CbfFile &file,
                            ProfileDataset *dataset, std::string *error)
 {
-    const char *schema = nullptr;
-    std::size_t schema_size = 0;
-    if (!file.bytes("schema", &schema, &schema_size, error))
+    if (!io::checkSchema(file, "ceer.profiles.v1", "a profiles", error))
         return false;
-    const std::string schema_name(schema, schema_size);
-    if (schema_name != "ceer.profiles.v1") {
-        *error = "schema '" + schema_name +
-                 "' is not ceer.profiles.v1 (wrong container?)";
-        return false;
-    }
 
-    std::vector<std::string> op_model, op_gpu, op_op;
-    if (!io::readStringColumn(file, "op.model", &op_model, error) ||
-        !io::readStringColumn(file, "op.gpu", &op_gpu, error) ||
-        !io::readStringColumn(file, "op.op", &op_op, error))
-        return false;
-    const std::size_t op_rows = op_model.size();
-    // Every other column must agree with op.model on the row count; a
-    // file with mismatched columns is structurally corrupt.
-    const auto sized = [&](std::size_t count, std::size_t rows,
-                           const char *name) {
-        if (count == rows)
-            return true;
-        *error = util::format("column '%s' has %zu rows, expected %zu",
-                              name, count, rows);
-        return false;
-    };
-    const std::uint8_t *on_cpu = nullptr;
-    const std::uint64_t *occurrences = nullptr, *time_count = nullptr,
-                        *sample_capacity = nullptr,
-                        *sample_offered = nullptr, *sample_rng = nullptr;
-    const double *time_mean = nullptr, *time_m2 = nullptr,
-                 *time_min = nullptr, *time_max = nullptr;
-    std::size_t n = 0;
-    std::vector<std::vector<double>> features, samples;
-    if (!(file.u8("op.on_cpu", &on_cpu, &n, error) &&
-          sized(n, op_rows, "op.on_cpu")) ||
-        !(file.u64("op.occurrences", &occurrences, &n, error) &&
-          sized(n, op_rows, "op.occurrences")) ||
-        !(io::readF64ListColumn(file, "op.features", &features, error) &&
-          sized(features.size(), op_rows, "op.features")) ||
-        !(file.u64("op.time_count", &time_count, &n, error) &&
-          sized(n, op_rows, "op.time_count")) ||
-        !(file.f64("op.time_mean", &time_mean, &n, error) &&
-          sized(n, op_rows, "op.time_mean")) ||
-        !(file.f64("op.time_m2", &time_m2, &n, error) &&
-          sized(n, op_rows, "op.time_m2")) ||
-        !(file.f64("op.time_min", &time_min, &n, error) &&
-          sized(n, op_rows, "op.time_min")) ||
-        !(file.f64("op.time_max", &time_max, &n, error) &&
-          sized(n, op_rows, "op.time_max")) ||
-        !(io::readF64ListColumn(file, "op.samples", &samples, error) &&
-          sized(samples.size(), op_rows, "op.samples")) ||
-        !(file.u64("op.sample_capacity", &sample_capacity, &n, error) &&
-          sized(n, op_rows, "op.sample_capacity")) ||
-        !(file.u64("op.sample_offered", &sample_offered, &n, error) &&
-          sized(n, op_rows, "op.sample_offered")) ||
-        !(file.u64("op.sample_rng", &sample_rng, &n, error) &&
-          sized(n, op_rows, "op.sample_rng")))
+    io::RowGroup op(file, error);
+    std::vector<std::string> op_model = op.str("op.model");
+    const std::vector<std::string> op_gpu = op.str("op.gpu");
+    const std::vector<std::string> op_op = op.str("op.op");
+    const std::uint8_t *on_cpu = op.u8("op.on_cpu");
+    const std::uint64_t *occurrences = op.u64("op.occurrences");
+    std::vector<std::vector<double>> features = op.f64Lists("op.features");
+    const std::uint64_t *time_count = op.u64("op.time_count");
+    const double *time_mean = op.f64("op.time_mean");
+    const double *time_m2 = op.f64("op.time_m2");
+    const double *time_min = op.f64("op.time_min");
+    const double *time_max = op.f64("op.time_max");
+    std::vector<std::vector<double>> samples = op.f64Lists("op.samples");
+    const std::uint64_t *sample_capacity = op.u64("op.sample_capacity");
+    const std::uint64_t *sample_offered = op.u64("op.sample_offered");
+    const std::uint64_t *sample_rng = op.u64("op.sample_rng");
+    if (!op.ok())
         return false;
 
     std::vector<OpProfile> loaded_ops;
-    loaded_ops.reserve(op_rows);
-    for (std::size_t i = 0; i < op_rows; ++i) {
+    loaded_ops.reserve(op.rows());
+    for (std::size_t i = 0; i < op.rows(); ++i) {
         OpProfile profile;
         profile.model = std::move(op_model[i]);
         if (!hw::gpuModelFromName(op_gpu[i], profile.gpu)) {
@@ -513,48 +502,28 @@ ProfileDataset::tryLoadCbf(const io::CbfFile &file,
         loaded_ops.push_back(std::move(profile));
     }
 
-    std::vector<std::string> iter_model, iter_gpu;
-    if (!io::readStringColumn(file, "iter.model", &iter_model, error) ||
-        !io::readStringColumn(file, "iter.gpu", &iter_gpu, error))
-        return false;
-    const std::size_t iter_rows = iter_model.size();
-    const std::int64_t *iter_gpus = nullptr, *iter_params = nullptr;
-    const double *iter_us = nullptr, *compute_us = nullptr,
-                 *comm_us = nullptr;
-    if (!(file.i64("iter.num_gpus", &iter_gpus, &n, error) &&
-          sized(n, iter_rows, "iter.num_gpus")) ||
-        !(file.i64("iter.param_count", &iter_params, &n, error) &&
-          sized(n, iter_rows, "iter.param_count")) ||
-        !(file.f64("iter.mean_iteration_us", &iter_us, &n, error) &&
-          sized(n, iter_rows, "iter.mean_iteration_us")) ||
-        !(file.f64("iter.mean_compute_us", &compute_us, &n, error) &&
-          sized(n, iter_rows, "iter.mean_compute_us")) ||
-        !(file.f64("iter.mean_comm_us", &comm_us, &n, error) &&
-          sized(n, iter_rows, "iter.mean_comm_us")) ||
-        !sized(iter_gpu.size(), iter_rows, "iter.gpu"))
+    io::RowGroup iter(file, error);
+    std::vector<std::string> iter_model = iter.str("iter.model");
+    const std::vector<std::string> iter_gpu = iter.str("iter.gpu");
+    const std::int64_t *iter_gpus = iter.i64("iter.num_gpus");
+    const std::int64_t *iter_params = iter.i64("iter.param_count");
+    const double *iter_us = iter.f64("iter.mean_iteration_us");
+    const double *compute_us = iter.f64("iter.mean_compute_us");
+    const double *comm_us = iter.f64("iter.mean_comm_us");
+    if (!iter.ok())
         return false;
 
     ProfileDataset parsed;
-    parsed.iterations_.reserve(iter_rows);
-    for (std::size_t i = 0; i < iter_rows; ++i) {
+    parsed.iterations_.reserve(iter.rows());
+    for (std::size_t i = 0; i < iter.rows(); ++i) {
         IterationProfile run;
         run.model = std::move(iter_model[i]);
-        if (!hw::gpuModelFromName(iter_gpu[i], run.gpu)) {
-            *error = util::format("iter row %zu: bad GPU '%s'", i,
-                                  iter_gpu[i].c_str());
-            return false;
-        }
-        if (iter_gpus[i] < 1) {
-            *error = util::format(
-                "iter row %zu: bad num_gpus %lld", i,
-                static_cast<long long>(iter_gpus[i]));
-            return false;
-        }
-        run.numGpus = static_cast<int>(iter_gpus[i]);
         run.paramCount = iter_params[i];
         run.meanIterationUs = iter_us[i];
         run.meanComputeUs = compute_us[i];
         run.meanCommUs = comm_us[i];
+        if (!checkIterationRow(i, iter_gpu[i], iter_gpus[i], &run, error))
+            return false;
         parsed.iterations_.push_back(std::move(run));
     }
 
@@ -568,37 +537,8 @@ bool
 ProfileDataset::tryLoadFile(const std::string &path,
                             ProfileDataset *dataset, std::string *error)
 {
-    OBS_TIMER("io.load_us");
-    io::FileFormat format;
-    if (!io::sniffFile(path, &format, error))
-        return false;
-    if (format == io::FileFormat::Cbf) {
-        io::CbfFile file;
-        std::string map_error;
-        if (!io::CbfFile::tryMap(path, &file, &map_error)) {
-            // mmap can fail on exotic filesystems; the streaming
-            // reader applies the identical validation.
-            if (!io::CbfFile::tryLoad(path, &file, error)) {
-                *error = path + ": " + *error;
-                return false;
-            }
-        }
-        if (!tryLoadCbf(file, dataset, error)) {
-            *error = path + ": " + *error;
-            return false;
-        }
-        return true;
-    }
-    std::ifstream in(path);
-    if (!in) {
-        *error = "cannot open '" + path + "'";
-        return false;
-    }
-    if (!tryLoadCsv(in, dataset, error)) {
-        *error = path + ": " + *error;
-        return false;
-    }
-    return true;
+    return io::tryLoadFile(path, dataset, &tryLoadCbf, &tryLoadCsv,
+                           error);
 }
 
 ProfileDataset

@@ -184,12 +184,8 @@ class ProfileDataset
     static bool tryLoadCbf(const io::CbfFile &file,
                            ProfileDataset *dataset, std::string *error);
 
-    /**
-     * Loads @p path in either format, sniffed by magic bytes: CBF
-     * files take the mmap zero-copy path (falling back to the checked
-     * streaming reader when mapping fails), anything else parses as
-     * the CSV dialect. @p dataset is untouched on failure.
-     */
+    /** io::tryLoadFile() over tryLoadCbf() and tryLoadCsv().
+        @p dataset is untouched on failure. */
     static bool tryLoadFile(const std::string &path,
                             ProfileDataset *dataset, std::string *error);
 

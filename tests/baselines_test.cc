@@ -12,6 +12,8 @@
 #include "baselines/evaluate.h"
 #include "baselines/predictor.h"
 #include "cloud/instances.h"
+#include "core/predictor.h"
+#include "core/trainer.h"
 #include "hw/op_cost.h"
 #include "models/model_zoo.h"
 #include "profile/profiler.h"
@@ -58,41 +60,72 @@ TEST(StrategyTest, EmptyOrUnsatisfiableIsFatal)
                  "budget");
 }
 
+/** Shared fixture: a small profile dataset collected once. */
+const profile::ProfileDataset &
+evalDataset()
+{
+    static const profile::ProfileDataset dataset = [] {
+        profile::CollectOptions options;
+        options.iterations = 8;
+        return profile::collectProfiles({"vgg_11", "inception_v1"},
+                                        options);
+    }();
+    return dataset;
+}
+
 TEST(AblationOptionsTest, TogglesMatchTheirNames)
 {
-    EXPECT_FALSE(heavyOnlyOptions().includeLightAndCpu);
-    EXPECT_TRUE(heavyOnlyOptions().includeComm);
-    EXPECT_FALSE(noCommOptions().includeComm);
-    EXPECT_TRUE(noCommOptions().includeLightAndCpu);
+    // Each registry ablation is Ceer with exactly the Eq. 2 term its
+    // name says switched off.
+    const core::CeerPredictor ceer(core::trainCeer(evalDataset()));
+    const graph::Graph g = models::buildModel("alexnet", 32);
+    const struct
+    {
+        const char *name;
+        core::PredictOptions options;
+    } cases[] = {
+        {"ceer", {}},
+        {"ceer_heavy_only", {.includeLightAndCpu = false}},
+        {"ceer_no_comm", {.includeComm = false}},
+    };
+    std::vector<double> predictions;
+    for (const auto &c : cases) {
+        const std::unique_ptr<Predictor> engine = makePredictor(c.name);
+        engine->trainFrom(evalDataset());
+        predictions.push_back(
+            engine->predictIterationUs(g, GpuModel::V100, 2));
+        EXPECT_DOUBLE_EQ(predictions.back(),
+                         ceer.predictIterationUs(g, GpuModel::V100, 2,
+                                                 c.options))
+            << c.name;
+    }
+    // Every toggle changes the prediction.
+    EXPECT_NE(predictions[0], predictions[1]);
+    EXPECT_NE(predictions[0], predictions[2]);
+}
+
+/** The registry's PALEO-style engine. Its training is a no-op that
+    only needs a non-empty dataset. */
+std::unique_ptr<Predictor>
+paleoEngine()
+{
+    profile::ProfileDataset dataset;
+    dataset.addIteration(profile::IterationProfile{});
+    std::unique_ptr<Predictor> paleo = makePredictor("paleo_flops");
+    paleo->trainFrom(dataset);
+    return paleo;
 }
 
 TEST(FlopsPredictorTest, OrdersGpusByPeakOnly)
 {
     const graph::Graph g = models::buildInceptionV1(32);
-    const FlopsPredictor predictor(0.5);
-    const double p3 = predictor.predictIterationUs(g, GpuModel::V100);
-    const double p2 = predictor.predictIterationUs(g, GpuModel::K80);
+    const std::unique_ptr<Predictor> predictor = paleoEngine();
+    const double p3 = predictor->predictIterationUs(g, GpuModel::V100, 1);
+    const double p2 = predictor->predictIterationUs(g, GpuModel::K80, 1);
     EXPECT_GT(p2, p3);
     // Peak-FLOPS ratio V100/K80 is 5x, far from the observed ~10x
     // heavy-op gap: exactly the failure mode PALEO-style models have.
     EXPECT_NEAR(p2 / p3, 14.0 / 2.8, 0.1);
-}
-
-TEST(FlopsPredictorTest, TrainingHoursArithmetic)
-{
-    const graph::Graph g = models::buildInceptionV1(32);
-    const FlopsPredictor predictor(0.5);
-    const double iteration =
-        predictor.predictIterationUs(g, GpuModel::V100);
-    const double hours = predictor.predictTrainingHours(
-        g, GpuModel::V100, 4, 1'200'000, 32);
-    EXPECT_NEAR(hours, iteration * (1'200'000 / 128) / 3.6e9, 1e-9);
-}
-
-TEST(FlopsPredictorTest, RejectsBadUtilization)
-{
-    EXPECT_DEATH(FlopsPredictor(0.0), "utilization");
-    EXPECT_DEATH(FlopsPredictor(1.5), "utilization");
 }
 
 TEST(FlopsPredictorTest, PinsUtilizationConstant)
@@ -107,8 +140,8 @@ TEST(FlopsPredictorTest, PinsUtilizationConstant)
             total_flops += hw::opCost(node).flops;
     }
     const hw::GpuSpec &spec = hw::gpuSpec(GpuModel::V100);
-    const FlopsPredictor defaulted;
-    EXPECT_DOUBLE_EQ(defaulted.predictIterationUs(g, GpuModel::V100),
+    EXPECT_DOUBLE_EQ(paleoEngine()->predictIterationUs(g, GpuModel::V100,
+                                                       1),
                      total_flops / (spec.peakTflops * 0.5 * 1e6));
 }
 
@@ -118,9 +151,9 @@ TEST(FlopsPredictorTest, ZeroFlopGraphPredictsZero)
     // overhead or floor term (unlike the trained engines' 1us op
     // floor), which is itself part of its failure mode.
     const graph::Graph empty("empty");
-    const FlopsPredictor predictor(0.5);
+    const std::unique_ptr<Predictor> predictor = paleoEngine();
     for (const GpuModel gpu : hw::allGpuModels())
-        EXPECT_EQ(predictor.predictIterationUs(empty, gpu), 0.0);
+        EXPECT_EQ(predictor->predictIterationUs(empty, gpu, 1), 0.0);
 }
 
 TEST(StrategyTest, NoLatestGenerationCandidateIsFatal)
@@ -135,19 +168,6 @@ TEST(StrategyTest, NoLatestGenerationCandidateIsFatal)
 }
 
 // --- The evaluation harness ---
-
-/** Shared fixture: a small profile dataset collected once. */
-const profile::ProfileDataset &
-evalDataset()
-{
-    static const profile::ProfileDataset dataset = [] {
-        profile::CollectOptions options;
-        options.iterations = 8;
-        return profile::collectProfiles({"vgg_11", "inception_v1"},
-                                        options);
-    }();
-    return dataset;
-}
 
 TEST(EvalSweepTest, ParallelSweepIsByteIdentical)
 {

@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/baselines.h"
 #include "cloud/instances.h"
 #include "core/predictor.h"
 #include "core/recommender.h"
@@ -227,6 +226,13 @@ struct AccuracyCase
     int numGpus;
 };
 
+/** Names a case by value ({model, k}), not by its pointer's bytes. */
+void
+PrintTo(const AccuracyCase &test_case, std::ostream *os)
+{
+    *os << "{" << test_case.model << ", " << test_case.numGpus << "}";
+}
+
 class AccuracyTest : public ::testing::TestWithParam<AccuracyCase>
 {
 };
@@ -291,9 +297,9 @@ TEST(PredictorTest, AblationsDegradeAccuracy)
     const double full =
         predictor.predictIterationUs(g, GpuModel::V100, 1);
     const double no_comm = predictor.predictIterationUs(
-        g, GpuModel::V100, 1, baselines::noCommOptions());
+        g, GpuModel::V100, 1, {.includeComm = false});
     const double heavy_only = predictor.predictIterationUs(
-        g, GpuModel::V100, 1, baselines::heavyOnlyOptions());
+        g, GpuModel::V100, 1, {.includeLightAndCpu = false});
 
     const double full_error = std::abs(full / observed - 1.0);
     const double no_comm_error = std::abs(no_comm / observed - 1.0);

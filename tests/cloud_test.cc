@@ -150,6 +150,10 @@ TEST(CatalogTest, CsvRejectsMalformedRows)
     std::istringstream bad_price(
         "name,gpu,gpus,hourly_usd\nfoo,V100,1,-2.0\n");
     EXPECT_DEATH(InstanceCatalog::fromCsv(bad_price), "bad row");
+    // 2^32 + 1 GPUs must not narrow to a 1-GPU instance.
+    std::istringstream huge_gpus(
+        "name,gpu,gpus,hourly_usd\nfoo,V100,4294967297,2.0\n");
+    EXPECT_DEATH(InstanceCatalog::fromCsv(huge_gpus), "gpus");
 }
 
 TEST(CatalogTest, MissingInstanceIsFatal)

@@ -15,12 +15,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baselines/evaluate.h"
 #include "cloud/instances.h"
 #include "core/ceer_model.h"
 #include "io/cbf.h"
@@ -694,6 +696,31 @@ TEST(CbfContainerTest, SemanticGarbageBehindValidChecksumsIsRejected)
         EXPECT_NE(error.find("bad GPU"), std::string::npos) << error;
         EXPECT_EQ(dataset.ops()[0].model, "sentinel");
     }
+
+    // 2^32 + 1 GPUs in an iteration row must not narrow to 1.
+    {
+        profile::ProfileDataset with_run = tinyDataset("alexnet");
+        profile::IterationProfile run;
+        run.model = "alexnet";
+        run.gpu = hw::GpuModel::V100;
+        with_run.addIteration(run);
+        std::string bad = datasetCbf(with_run);
+        CbfFile original;
+        ASSERT_TRUE(CbfFile::tryParse(bad, &original, &error)) << error;
+        const std::size_t index = columnIndex(original, "iter.num_gpus");
+        const std::uint64_t offset =
+            loadU64At(bad, kHeader + index * kEntry + 48);
+        storeU64At(&bad, offset, 4294967297ull);
+        fixColumnChecksum(&bad, index);
+        fixTableHash(&bad);
+        CbfFile file;
+        ASSERT_TRUE(CbfFile::tryParse(bad, &file, &error)) << error;
+        profile::ProfileDataset dataset = tinyDataset("sentinel");
+        EXPECT_FALSE(profile::ProfileDataset::tryLoadCbf(file, &dataset,
+                                                         &error));
+        EXPECT_NE(error.find("num_gpus"), std::string::npos) << error;
+        EXPECT_EQ(dataset.ops()[0].model, "sentinel");
+    }
 }
 
 TEST(CbfContainerTest, TryLoadFileSniffsTakesMmapAndFallsBack)
@@ -775,6 +802,188 @@ TEST(CbfContainerTest, SyntheticFleetIsDeterministicAndDialectExact)
     std::ostringstream csv_cbf;
     from_csv.saveCbf(csv_cbf);
     EXPECT_EQ(csv_cbf.str(), bytes_a.str());
+}
+
+// ---------------------------------------------------------------------
+// The shared row-group rules, once for every artifact: each column of
+// each artifact's CBF file is required and must hold its group's row
+// count. Removing any one column, or shortening it by one element,
+// fails the load with the column's name and leaves the output
+// untouched.
+
+/** @p file re-serialized without column @p target (when @p drop) or
+    with @p target one element short. */
+std::string
+withColumnDamaged(const CbfFile &file, const std::string &target,
+                  bool drop)
+{
+    CbfBuilder builder;
+    std::string error;
+    for (const ColumnDesc &desc : file.columns()) {
+        if (desc.name == target && drop)
+            continue;
+        const std::size_t n = desc.count - (desc.name == target ? 1 : 0);
+        const char *blob = nullptr;
+        const double *f64 = nullptr;
+        const std::uint64_t *u64 = nullptr;
+        const std::int64_t *i64 = nullptr;
+        const std::uint8_t *u8 = nullptr;
+        std::size_t count = 0;
+        switch (desc.dtype) {
+          case DType::F64:
+            EXPECT_TRUE(file.f64(desc.name, &f64, &count, &error));
+            builder.addF64(desc.name, f64, n);
+            break;
+          case DType::U64:
+            EXPECT_TRUE(file.u64(desc.name, &u64, &count, &error));
+            builder.addU64(desc.name, u64, n);
+            break;
+          case DType::I64:
+            EXPECT_TRUE(file.i64(desc.name, &i64, &count, &error));
+            builder.addI64(desc.name, i64, n);
+            break;
+          case DType::U8:
+            EXPECT_TRUE(file.u8(desc.name, &u8, &count, &error));
+            builder.addU8(desc.name, u8, n);
+            break;
+          case DType::Bytes:
+            EXPECT_TRUE(file.bytes(desc.name, &blob, &count, &error));
+            builder.addBytes(desc.name, blob, n);
+            break;
+        }
+    }
+    return builder.build();
+}
+
+/** One artifact: a valid CBF image with at least one row in every
+    group, and a load into a sentinel that reports whether the
+    sentinel survived. */
+struct ArtifactCase
+{
+    const char *name;
+    std::string bytes;
+    std::function<bool(const CbfFile &, std::string *, bool *untouched)>
+        load;
+};
+
+std::vector<ArtifactCase>
+artifactCases()
+{
+    std::vector<ArtifactCase> cases;
+
+    profile::ProfileDataset dataset = tinyDataset("alexnet");
+    profile::IterationProfile run;
+    run.model = "alexnet";
+    run.gpu = hw::GpuModel::V100;
+    run.numGpus = 2;
+    dataset.addIteration(run);
+    dataset.addIteration(run);
+    cases.push_back({"profiles", datasetCbf(dataset),
+                     [](const CbfFile &file, std::string *error,
+                        bool *untouched) {
+                         profile::ProfileDataset out =
+                             tinyDataset("sentinel");
+                         const bool ok = profile::ProfileDataset::
+                             tryLoadCbf(file, &out, error);
+                         *untouched = out.ops().size() == 1 &&
+                                      out.ops()[0].model == "sentinel" &&
+                                      out.iterations().empty();
+                         return ok;
+                     }});
+
+    std::istringstream model_text(
+        "ceer_model v1\n"
+        "heavy_threshold_us 10\nlight_median_us 2\ncpu_median_us 3\n"
+        "heavy_ops Conv2D\n"
+        "op_model V100 Conv2D 1 1 0.9 5 10 1;1,1\n"
+        "op_model K80 Conv2D 0 1 0.8 6 12 2;1,1\n"
+        "comm_fit V100 1 0.9 1;1,1\ncomm_fit V100 2 0.8 2;1,1\n");
+    std::ostringstream model_bytes;
+    core::CeerModel::load(model_text).saveCbf(model_bytes);
+    cases.push_back({"model", model_bytes.str(),
+                     [](const CbfFile &file, std::string *error,
+                        bool *untouched) {
+                         core::CeerModel out;
+                         out.heavyThresholdUs = 12345.0;
+                         const bool ok =
+                             core::CeerModel::tryLoadCbf(file, &out, error);
+                         *untouched = out.heavyThresholdUs == 12345.0 &&
+                                      out.opModels.empty();
+                         return ok;
+                     }});
+
+    std::ostringstream catalog_bytes;
+    cloud::InstanceCatalog::awsOnDemand().saveCbf(catalog_bytes);
+    cases.push_back({"catalog", catalog_bytes.str(),
+                     [](const CbfFile &file, std::string *error,
+                        bool *untouched) {
+                         cloud::InstanceCatalog out;
+                         out.add({"sentinel", hw::GpuModel::V100, 1, 1.0,
+                                  false});
+                         const bool ok = cloud::InstanceCatalog::
+                             tryLoadCbf(file, &out, error);
+                         *untouched = out.instances().size() == 1 &&
+                                      out.instances()[0].name ==
+                                          "sentinel";
+                         return ok;
+                     }});
+
+    baselines::EvalReport report;
+    for (const char *predictor : {"ceer", "profet"}) {
+        report.cells.push_back({predictor, "alexnet", hw::GpuModel::T4,
+                                2, 100.0, 110.0, 10.0});
+        report.modelRows.push_back({predictor, "alexnet", 10.0, 5.0,
+                                    0.9, "p3.2xlarge", "g3s.xlarge",
+                                    false});
+        report.summary.push_back({predictor, 10.0, 5.0, 0.9, 0.5});
+    }
+    std::ostringstream report_bytes;
+    report.saveCbf(report_bytes);
+    cases.push_back({"evalreport", report_bytes.str(),
+                     [](const CbfFile &file, std::string *error,
+                        bool *untouched) {
+                         baselines::EvalReport out;
+                         out.summary.push_back({"sentinel"});
+                         const bool ok = baselines::EvalReport::tryLoadCbf(
+                             file, &out, error);
+                         *untouched = out.cells.empty() &&
+                                      out.summary.size() == 1 &&
+                                      out.summary[0].predictor ==
+                                          "sentinel";
+                         return ok;
+                     }});
+    return cases;
+}
+
+TEST(CbfContainerTest, EveryColumnOfEveryArtifactIsRequiredAndSized)
+{
+    for (const ArtifactCase &artifact : artifactCases()) {
+        SCOPED_TRACE(artifact.name);
+        CbfFile file;
+        std::string error;
+        ASSERT_TRUE(CbfFile::tryParse(artifact.bytes, &file, &error))
+            << error;
+        bool untouched = true;
+        ASSERT_TRUE(artifact.load(file, &error, &untouched)) << error;
+        EXPECT_FALSE(untouched); // the fixture really loads
+        for (const ColumnDesc &desc : file.columns()) {
+            for (const bool drop : {true, false}) {
+                if (!drop && desc.count == 0)
+                    continue;
+                SCOPED_TRACE(desc.name + (drop ? " removed" : " short"));
+                CbfFile damaged;
+                ASSERT_TRUE(CbfFile::tryParse(
+                    withColumnDamaged(file, desc.name, drop), &damaged,
+                    &error))
+                    << error;
+                error.clear();
+                EXPECT_FALSE(artifact.load(damaged, &error, &untouched));
+                EXPECT_NE(error.find(desc.name), std::string::npos)
+                    << error;
+                EXPECT_TRUE(untouched);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -114,6 +114,12 @@ TEST(CsvRobustnessTest, GarbledIterationRowIsFatal)
         "features,samples\n"
         "iter,vgg_11,V100,2,12??34,,,100,90,10,\n");
     EXPECT_DEATH(profile::ProfileDataset::loadCsv(in), "param_count");
+    // 2^32 + 1 GPUs must not narrow to a 1-GPU run.
+    std::istringstream huge_gpus(
+        "kind,model,gpu,op,device,occurrences,count,mean_us,stddev_us,"
+        "features,samples\n"
+        "iter,vgg_11,V100,4294967297,1234,,,100,90,10,\n");
+    EXPECT_DEATH(profile::ProfileDataset::loadCsv(huge_gpus), "num_gpus");
 }
 
 TEST(CsvRobustnessTest, UnterminatedQuoteIsFatal)
@@ -181,6 +187,13 @@ TEST(ModelFileTest, TruncatedLinesAreFatal)
     std::istringstream zero_k(
         "ceer_model v1\ncomm_fit V100 0 0.9 1;1,1\n");
     EXPECT_DEATH(core::CeerModel::load(zero_k), "k must be");
+    // k sizes the per-k fit table: it is bounded before it is used.
+    std::istringstream wide_k(
+        "ceer_model v1\ncomm_fit V100 2000 0.9 1;1,1\n");
+    EXPECT_DEATH(core::CeerModel::load(wide_k), "k must be");
+    std::istringstream huge_k(
+        "ceer_model v1\ncomm_fit V100 100000000000000000 0.5 1\n");
+    EXPECT_DEATH(core::CeerModel::load(huge_k), "k must be");
 }
 
 TEST(ModelFileTest, EmptyStreamIsFatal)

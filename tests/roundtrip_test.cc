@@ -654,6 +654,7 @@ TEST(RoundTripTest, EvalReportCsvLoaderRejectsMalformedInputs)
         {withField(valid, 1, 0, "banana"), "unknown kind 'banana'"},
         {withField(valid, 1, 3, "H200"), "unknown GPU 'H200'"},
         {withField(valid, 1, 4, "two"), "column k"},
+        {withField(valid, 1, 4, "4294967297"), "column k"},
         {withField(valid, 1, 5, "fast"), "column observed_us"},
         {withField(valid, 1, 6, "?"), "column predicted_us"},
         {withField(valid, 1, 7, "?"), "column ape_pct"},
@@ -798,6 +799,29 @@ TEST(RoundTripTest, EvalReportCbfLoaderRejectsMalformedFiles)
         EXPECT_NE(error.find("cell.k"), std::string::npos) << error;
         EXPECT_NE(error.find("expected 1 rows, got 2"),
                   std::string::npos)
+            << error;
+    }
+
+    // A negative GPU count inside an otherwise well-formed cell group.
+    {
+        io::CbfBuilder builder;
+        builder.addBytes("schema", "ceer.evalreport.v1");
+        io::addStringColumn(&builder, "cell.predictor", {"ceer"});
+        io::addStringColumn(&builder, "cell.model", {"alexnet"});
+        io::addStringColumn(&builder, "cell.gpu", {"V100"});
+        builder.addI64("cell.k", std::vector<std::int64_t>{-7});
+        builder.addF64("cell.observed_us", std::vector<double>{1.0});
+        builder.addF64("cell.predicted_us", std::vector<double>{1.0});
+        builder.addF64("cell.ape_pct", std::vector<double>{0.0});
+        std::stringstream out;
+        builder.write(out);
+        io::CbfFile file;
+        ASSERT_TRUE(io::CbfFile::tryParse(out.str(), &file, &error))
+            << error;
+        baselines::EvalReport report;
+        EXPECT_FALSE(
+            baselines::EvalReport::tryLoadCbf(file, &report, &error));
+        EXPECT_NE(error.find("column k: -7"), std::string::npos)
             << error;
     }
 

@@ -587,6 +587,41 @@ TEST(ServeServerTest, HotReloadBumpsGenerationAndKeepsReplies)
     EXPECT_EQ(server->generation(), 2u);
 }
 
+TEST(ServeServerTest, HostileReloadIsABadRequestAndKeepsServing)
+{
+    auto server = startServer();
+    // A comm_fit whose k would size a 10^17-entry fit table.
+    const std::string path = "serve_test_hostile_model.tmp.txt";
+    {
+        std::ofstream out(path);
+        out << "ceer_model v1\ncomm_fit V100 100000000000000000 0.5 1\n";
+    }
+    ServeClient client;
+    std::string error;
+    ASSERT_TRUE(
+        client.tryConnect("127.0.0.1", server->port(), 30000, &error))
+        << error;
+    std::uint64_t generation = 0;
+    const CallOutcome outcome = client.reload(path, &generation);
+    std::remove(path.c_str());
+    EXPECT_FALSE(outcome.ok);
+    EXPECT_EQ(outcome.errorCode, errc::kBadRequest);
+    EXPECT_EQ(server->generation(), 1u);
+
+    // The server closes a session after an Error frame, so the old
+    // engine's replies are checked on a fresh connection.
+    ServeClient fresh;
+    ASSERT_TRUE(
+        fresh.tryConnect("127.0.0.1", server->port(), 30000, &error))
+        << error;
+    RecommendRequest request;
+    request.model = "alexnet";
+    RecommendResponse response;
+    std::string raw;
+    ASSERT_TRUE(fresh.recommend(request, &response, &raw).ok);
+    EXPECT_EQ(raw, localReplyBytes(request));
+}
+
 TEST(ServeServerTest, LoadgenDrivesTheServerCleanly)
 {
     auto server = startServer();

@@ -528,30 +528,23 @@ fileKindName(FileKind kind)
  * their headers).
  */
 FileKind
-detectFileKind(const std::string &path)
+detectFileKind(const std::string &path, io::FileFormat format)
 {
-    io::FileFormat format;
-    std::string error;
-    if (!io::sniffFile(path, &format, &error))
-        util::fatal("convert: " + error);
     if (format == io::FileFormat::Cbf) {
         io::CbfFile file;
-        if (!io::CbfFile::tryMap(path, &file, &error) &&
-            !io::CbfFile::tryLoad(path, &file, &error))
+        std::string error;
+        if (!io::CbfFile::tryOpen(path, &file, &error))
             util::fatal("convert: " + path + ": " + error);
-        const char *schema = nullptr;
-        std::size_t schema_size = 0;
-        if (!file.bytes("schema", &schema, &schema_size, &error))
-            util::fatal("convert: " + path + ": " + error);
-        const std::string name(schema, schema_size);
-        if (name == "ceer.profiles.v1")
-            return FileKind::Profiles;
-        if (name == "ceer.model.v1")
-            return FileKind::Model;
-        if (name == "ceer.catalog.v1")
-            return FileKind::Catalog;
-        util::fatal("convert: " + path + ": unknown schema '" + name +
-                    "'");
+        const std::pair<FileKind, const char *> kSchemas[] = {
+            {FileKind::Profiles, "ceer.profiles.v1"},
+            {FileKind::Model, "ceer.model.v1"},
+            {FileKind::Catalog, "ceer.catalog.v1"},
+        };
+        for (const auto &[kind, schema] : kSchemas)
+            if (io::checkSchema(file, schema,
+                                "a profiles, model or catalog", &error))
+                return kind;
+        util::fatal("convert: " + path + ": " + error);
     }
     std::ifstream in(path);
     if (!in)
@@ -600,7 +593,7 @@ cmdConvert(int argc, char **argv)
     FileKind kind;
     const std::string kind_flag = flags.getString("kind");
     if (kind_flag == "auto")
-        kind = detectFileKind(in_path);
+        kind = detectFileKind(in_path, in_format);
     else if (kind_flag == "profiles")
         kind = FileKind::Profiles;
     else if (kind_flag == "model")

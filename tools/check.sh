@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 #
-# CI-style check driver. Default mode runs four passes:
+# CI-style check driver. Default mode runs five passes:
 #
 #   release   Release build + full ctest suite
 #   bench     microbenchmark smoke runs (tiny iteration counts)
@@ -10,6 +10,8 @@
 #             the parallel cross-predictor evaluation sweep, the ceerd
 #             serving stack)
 #   ubsan     UBSanitizer build of the serialization/I-O boundary
+#   asan      AddressSanitizer + LeakSanitizer build of the artifact
+#             loaders, the baselines and the ceerd serving stack
 #
 # `tools/check.sh coverage` instead builds with -DCEER_COVERAGE=ON,
 # runs the test suite, and summarizes gcov line coverage for src/
@@ -216,7 +218,7 @@ pass_ubsan() {
           -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
     cmake --build build-ubsan -j "$JOBS" \
           --target obs_test util_test regression_test robustness_test \
-                   roundtrip_test profile_cache_test io_test
+                   roundtrip_test profile_cache_test io_test cloud_test
 
     # Checked parsing must be UB-free on adversarial input:
     # overflowing integers, huge exponents, garbled bytes.
@@ -233,6 +235,29 @@ pass_ubsan() {
     # The CBF reader's corruption matrix under UBSan: misaligned and
     # short sections must be validation failures, never UB.
     ./build-ubsan/tests/io_test
+    # The catalog CSV and CBF loaders.
+    ./build-ubsan/tests/cloud_test
+}
+
+pass_asan() {
+    cmake -B build-asan -S . -DCEER_SANITIZE=address \
+          -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+    cmake --build build-asan -j "$JOBS" \
+          --target io_test roundtrip_test robustness_test cloud_test \
+                   profile_cache_test baselines_test serve_test
+
+    # Every artifact loader on valid, truncated and hostile input, plus
+    # the server's session and reload paths: no out-of-bounds access,
+    # use-after-free or leak. detect_leaks turns on LeakSanitizer and
+    # halt_on_error makes any report a hard failure.
+    export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
+    ./build-asan/tests/io_test
+    ./build-asan/tests/roundtrip_test
+    ./build-asan/tests/robustness_test
+    ./build-asan/tests/cloud_test
+    ./build-asan/tests/profile_cache_test
+    ./build-asan/tests/baselines_test
+    ./build-asan/tests/serve_test
 }
 
 pass_scaling() {
@@ -306,6 +331,7 @@ else
     run_pass "microbenchmark smoke runs" pass_bench_smoke
     run_pass "ThreadSanitizer (concurrency-sensitive pieces)" pass_tsan
     run_pass "UBSanitizer (serialization/I-O boundary)" pass_ubsan
+    run_pass "ASan + LSan (artifact loaders, serving)" pass_asan
 fi
 
 echo
