@@ -11,7 +11,7 @@
  *    atomic load and a predictable branch — no allocation, no locking,
  *    no formatting.
  *  - Counters and histograms are sharded: each metric owns a small
- *    fixed array of cache-line-aligned shards and every thread picks a
+ *    fixed array of 128-byte-aligned shards and every thread picks a
  *    shard once (round-robin), so the hot-path record is a relaxed
  *    fetch_add on a line rarely shared with another writer. Shards are
  *    summed only at snapshot time.
@@ -91,6 +91,9 @@ class ScopedEnable
 /** Shard count per metric (power of two; threads map round-robin). */
 constexpr std::size_t kMetricShards = 16;
 
+/** Shard alignment: two cache lines (see Counter::Shard). */
+constexpr std::size_t kShardAlign = 128;
+
 /** Monotonic event count. add() is a relaxed fetch_add on a TLS shard. */
 class Counter
 {
@@ -122,7 +125,9 @@ class Counter
     }
 
   private:
-    struct alignas(64) Shard
+    // 128, not 64: the adjacent-line prefetcher pulls 64-byte lines in
+    // pairs, so 64-byte shards still false-share across writers.
+    struct alignas(kShardAlign) Shard
     {
         std::atomic<std::uint64_t> value{0};
     };
@@ -183,7 +188,7 @@ class Histogram
     void reset();
 
   private:
-    struct alignas(64) Shard
+    struct alignas(kShardAlign) Shard
     {
         // Sized at construction, never resized afterwards.
         std::vector<std::atomic<std::uint64_t>> buckets;

@@ -686,26 +686,18 @@ collectProfiles(const std::vector<std::string> &model_names,
         OBS_COUNTER_INC("profile.runs");
     };
 
-    const std::size_t threads =
-        util::ThreadPool::effectiveThreads(options.threads);
-    if (threads <= 1 || tasks.size() <= 1) {
-        for (std::size_t i = 0; i < tasks.size(); ++i)
-            execute(i);
-    } else {
-        // Profiling runs are multi-millisecond tasks: the static cost
-        // hint keeps the grain at one run per claim (no batching win
-        // to be had), and the shared pool's parked workers make the
-        // fan-out cost independent of how often this is called.
-        util::ParallelOptions parallel;
-        parallel.costHintUs = 2000.0;
-        parallel.maxThreads = threads;
-        util::ThreadPool::shared().parallelForRange(
-            tasks.size(), parallel,
-            [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t i = lo; i < hi; ++i)
-                    execute(i);
-            });
-    }
+    // Profiling runs are multi-millisecond tasks: the static cost hint
+    // keeps the grain at one run per claim (no batching win to be had),
+    // and the shared pool's waiting workers make the fan-out cost
+    // independent of how often this is called.
+    util::parallelForRange(
+        tasks.size(),
+        {.costHintUs = 2000.0,
+         .maxThreads = util::ThreadPool::effectiveThreads(options.threads)},
+        [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i)
+                execute(i);
+        });
 
     ProfileDataset dataset;
     for (RunResult &result : results) {

@@ -122,6 +122,14 @@ struct ParamExpectation
     double expected_millions;
 };
 
+/** Names a case by value ({model, millions}), not by its pointer's bytes. */
+void
+PrintTo(const ParamExpectation &expectation, std::ostream *os)
+{
+    *os << "{" << expectation.name << ", " << expectation.expected_millions
+        << "}";
+}
+
 class ParamCountTest : public ::testing::TestWithParam<ParamExpectation>
 {
 };

@@ -1,13 +1,11 @@
 /**
  * @file
- * Tests for util::ThreadPool: task submission, parallelFor coverage,
- * exception propagation, and a contended stress loop that doubles as
- * the ThreadSanitizer workload for tools/check.sh.
+ * Tests for util::ThreadPool: parallelForRange coverage, exception
+ * propagation, nested and concurrent callers, and a contended stress
+ * loop that doubles as the ThreadSanitizer workload for tools/check.sh.
  */
 
 #include <atomic>
-#include <chrono>
-#include <memory>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -24,15 +22,16 @@ namespace ceer {
 namespace util {
 namespace {
 
-TEST(ThreadPoolTest, SubmitReturnsFutureResults)
+/** Runs body(i) for every i in [0, n) through the range form. */
+template <typename Body>
+void
+forEachIndex(ThreadPool &pool, std::size_t n, const Body &body)
 {
-    ThreadPool pool(3);
-    EXPECT_EQ(pool.workerCount(), 3u);
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 32; ++i)
-        futures.push_back(pool.submit([i] { return i * i; }));
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
+    pool.parallelForRange(n, ParallelOptions{},
+                          [&](std::size_t lo, std::size_t hi) {
+                              for (std::size_t i = lo; i < hi; ++i)
+                                  body(i);
+                          });
 }
 
 TEST(ThreadPoolTest, ZeroWorkerPoolRunsOnCaller)
@@ -40,8 +39,7 @@ TEST(ThreadPoolTest, ZeroWorkerPoolRunsOnCaller)
     ThreadPool pool(0);
     EXPECT_EQ(pool.workerCount(), 0u);
     std::vector<int> hits(10, 0);
-    pool.parallelFor(hits.size(),
-                     [&](std::size_t i) { hits[i] = 1; });
+    forEachIndex(pool, hits.size(), [&](std::size_t i) { hits[i] = 1; });
     EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 10);
 }
 
@@ -52,7 +50,7 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce)
     std::vector<std::atomic<int>> hits(kN);
     for (auto &hit : hits)
         hit.store(0);
-    pool.parallelFor(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
+    forEachIndex(pool, kN, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < kN; ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
@@ -61,53 +59,44 @@ TEST(ThreadPoolTest, ParallelForHandlesEmptyAndSingle)
 {
     ThreadPool pool(2);
     int calls = 0;
-    pool.parallelFor(0, [&](std::size_t) { ++calls; });
+    forEachIndex(pool, 0, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls, 0);
-    pool.parallelFor(1, [&](std::size_t) { ++calls; });
+    forEachIndex(pool, 1, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls, 1);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptions)
-{
-    ThreadPool pool(2);
-    auto future = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW(future.get(), std::runtime_error);
 }
 
 TEST(ThreadPoolTest, ParallelForPropagatesExceptions)
 {
     ThreadPool pool(3);
-    EXPECT_THROW(pool.parallelFor(100,
-                                  [](std::size_t i) {
-                                      if (i == 37)
-                                          throw std::runtime_error(
-                                              "task 37 failed");
-                                  }),
+    EXPECT_THROW(forEachIndex(pool, 100,
+                              [](std::size_t i) {
+                                  if (i == 37)
+                                      throw std::runtime_error(
+                                          "task 37 failed");
+                              }),
                  std::runtime_error);
 }
 
 TEST(ThreadPoolTest, ZeroWorkerParallelForPropagatesExceptions)
 {
     ThreadPool pool(0);
-    EXPECT_THROW(pool.parallelFor(10,
-                                  [](std::size_t i) {
-                                      if (i == 3)
-                                          throw std::runtime_error(
-                                              "serial task failed");
-                                  }),
+    EXPECT_THROW(forEachIndex(pool, 10,
+                              [](std::size_t i) {
+                                  if (i == 3)
+                                      throw std::runtime_error(
+                                          "serial task failed");
+                              }),
                  std::runtime_error);
 }
 
 TEST(ThreadPoolTest, PoolIsReusableAfterParallelForThrows)
 {
     ThreadPool pool(3);
-    EXPECT_THROW(pool.parallelFor(
-                     50,
-                     [](std::size_t i) {
-                         if (i % 10 == 5)
-                             throw std::runtime_error("partial");
-                     }),
+    EXPECT_THROW(forEachIndex(pool, 50,
+                              [](std::size_t i) {
+                                  if (i % 10 == 5)
+                                      throw std::runtime_error("partial");
+                              }),
                  std::runtime_error);
 
     // The failed run must not wedge the workers: the same pool runs a
@@ -115,24 +104,10 @@ TEST(ThreadPoolTest, PoolIsReusableAfterParallelForThrows)
     std::vector<std::atomic<int>> hits(200);
     for (auto &hit : hits)
         hit.store(0);
-    pool.parallelFor(hits.size(),
-                     [&](std::size_t i) { hits[i].fetch_add(1); });
+    forEachIndex(pool, hits.size(),
+                 [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < hits.size(); ++i)
         ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-    EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
-}
-
-TEST(ThreadPoolTest, TaskCounterTracksSubmissions)
-{
-    obs::ScopedEnable on(true);
-    obs::counter("pool.tasks").reset();
-    ThreadPool pool(2);
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 5; ++i)
-        futures.push_back(pool.submit([i] { return i; }));
-    for (auto &future : futures)
-        (void)future.get();
-    EXPECT_EQ(obs::snapshotMetrics().counterValue("pool.tasks"), 5u);
 }
 
 TEST(ThreadPoolTest, FewerItemsThanWorkersCoversEveryIndex)
@@ -141,19 +116,10 @@ TEST(ThreadPoolTest, FewerItemsThanWorkersCoversEveryIndex)
     std::vector<std::atomic<int>> hits(3);
     for (auto &hit : hits)
         hit.store(0);
-    pool.parallelFor(hits.size(),
-                     [&](std::size_t i) { hits[i].fetch_add(1); });
+    forEachIndex(pool, hits.size(),
+                 [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < hits.size(); ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST(ThreadPoolTest, SubmitAcceptsMoveOnlyCallables)
-{
-    ThreadPool pool(2);
-    auto value = std::make_unique<int>(41);
-    auto future = pool.submit(
-        [v = std::move(value)] { return *v + 1; });
-    EXPECT_EQ(future.get(), 42);
 }
 
 TEST(ThreadPoolTest, RangeFormCoversEveryIndexOnceWithStaticGrain)
@@ -185,7 +151,6 @@ TEST(ThreadPoolTest, RangeFormCoversEveryIndexOnceWithMeasuredGrain)
         hit.store(0);
     ParallelOptions options; // costHintUs == 0: measured first chunk
     options.minGrain = 16;
-    options.maxGrain = 4096;
     pool.parallelForRange(kN, options,
                           [&](std::size_t lo, std::size_t hi) {
                               for (std::size_t i = lo; i < hi; ++i)
@@ -215,12 +180,14 @@ TEST(ThreadPoolTest, ExceptionAbandonsRemainingChunks)
     // abandoned. The bodies pin the schedule so the test does not
     // depend on it: every executor but one parks inside its first
     // chunk, and the remaining worker throws. Its throw-then-record
-    // happens while no other executor can claim. The parked executors
-    // are released by a task the thrower queues on its own deque, and
-    // only the thrower is free to run that task, so it runs after the
-    // thrower has left the range and recorded the throw. No chunk may
-    // start after that; a range that ignored the failure would run
-    // every remaining chunk.
+    // happens while no other executor can claim. Before throwing, the
+    // thrower starts a releaser thread whose own two-chunk range frees
+    // the parked executors: its first chunk waits for its second, and
+    // the releaser alone can only run one of them. Every other worker
+    // is parked, so the second chunk needs the thrower, which joins
+    // only after it has left the failed range and recorded the throw.
+    // No chunk may start after that; a range that ignored the failure
+    // would run every remaining chunk.
     ThreadPool pool(4);
     constexpr std::size_t kN = 1'000'000;
     const std::size_t executors = pool.workerCount() + 1;
@@ -228,12 +195,25 @@ TEST(ThreadPoolTest, ExceptionAbandonsRemainingChunks)
     std::atomic<bool> thrower_chosen{false};
     std::atomic<bool> thrown{false};
     std::atomic<bool> released{false};
+    std::atomic<bool> release_chunk_claimed{false};
     std::atomic<std::size_t> parked{0};
     std::atomic<std::size_t> late_chunks{0};
     std::atomic<std::size_t> executed{0};
+    std::thread releaser;
     const auto wait_for = [](const auto &ready) {
         while (!ready())
             std::this_thread::yield();
+    };
+    const auto release = [&] {
+        ParallelOptions two;
+        two.costHintUs = 1000.0; // grain 1: two chunks
+        two.maxThreads = 2;
+        pool.parallelForRange(2, two, [&](std::size_t, std::size_t) {
+            if (!release_chunk_claimed.exchange(true))
+                wait_for([&] { return released.load(); });
+            else
+                released.store(true);
+        });
     };
     ParallelOptions options;
     options.costHintUs = 0.01; // fine grain: many chunks to abandon
@@ -248,7 +228,7 @@ TEST(ThreadPoolTest, ExceptionAbandonsRemainingChunks)
             if (std::this_thread::get_id() != caller &&
                 !thrower_chosen.exchange(true)) {
                 wait_for([&] { return parked.load() == executors - 1; });
-                pool.submit([&] { released.store(true); });
+                releaser = std::thread(release);
                 thrown.store(true);
                 throw std::runtime_error("chunk failed");
             }
@@ -256,10 +236,11 @@ TEST(ThreadPoolTest, ExceptionAbandonsRemainingChunks)
             wait_for([&] { return released.load(); });
             executed.fetch_add(hi - lo);
         });
-        FAIL() << "expected the chunk's exception to propagate";
+        ADD_FAILURE() << "expected the chunk's exception to propagate";
     } catch (const std::runtime_error &error) {
         EXPECT_STREQ(error.what(), "chunk failed");
     }
+    releaser.join();
     EXPECT_EQ(late_chunks.load(), 0u)
         << "chunks were claimed after the throw was recorded";
     EXPECT_LT(executed.load(), kN / 2)
@@ -282,23 +263,56 @@ TEST(ThreadPoolTest, RangeFormPropagatesExceptionFromLastChunk)
 
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock)
 {
-    // Outer chunks run on workers; each body opens a nested
-    // parallelFor on the same pool. The nested caller claims chunks
-    // itself, so this terminates even with every worker busy.
+    // Outer chunks run on workers; each body opens a nested range on
+    // the same pool. The nested caller claims chunks itself, so this
+    // terminates even with every worker busy.
     ThreadPool pool(3);
     constexpr std::size_t kOuter = 16;
     constexpr std::size_t kInner = 64;
     std::vector<std::atomic<std::size_t>> inner_sums(kOuter);
     for (auto &sum : inner_sums)
         sum.store(0);
-    pool.parallelFor(kOuter, [&](std::size_t o) {
-        pool.parallelFor(kInner, [&](std::size_t i) {
+    forEachIndex(pool, kOuter, [&](std::size_t o) {
+        forEachIndex(pool, kInner, [&](std::size_t i) {
             inner_sums[o].fetch_add(i + 1);
         });
     });
     for (std::size_t o = 0; o < kOuter; ++o)
         EXPECT_EQ(inner_sums[o].load(), kInner * (kInner + 1) / 2)
             << "outer " << o;
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersShareOnePool)
+{
+    // Four threads run ranges on one pool at once; workers join
+    // whichever linked job they find, and every caller must still see
+    // each of its own indices exactly once.
+    ThreadPool pool(3);
+    constexpr std::size_t kCallers = 4;
+    constexpr std::size_t kN = 20'000;
+    std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+    for (auto &row : hits)
+        row = std::vector<std::atomic<int>>(kN);
+    std::vector<std::thread> callers;
+    for (std::size_t c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&, c] {
+            for (int round = 0; round < 10; ++round) {
+                ParallelOptions options;
+                options.costHintUs = round % 2 == 0 ? 0.05 : 0.0;
+                pool.parallelForRange(
+                    kN, options, [&](std::size_t lo, std::size_t hi) {
+                        for (std::size_t i = lo; i < hi; ++i)
+                            hits[c][i].fetch_add(1);
+                    });
+            }
+        });
+    }
+    for (std::thread &caller : callers)
+        caller.join();
+    for (std::size_t c = 0; c < kCallers; ++c)
+        for (std::size_t i = 0; i < kN; ++i)
+            ASSERT_EQ(hits[c][i].load(), 10)
+                << "caller " << c << " index " << i;
 }
 
 TEST(ThreadPoolTest, SharedPoolHasWorkersAndRuns)
@@ -309,8 +323,8 @@ TEST(ThreadPoolTest, SharedPoolHasWorkersAndRuns)
     std::vector<std::atomic<int>> hits(512);
     for (auto &hit : hits)
         hit.store(0);
-    pool.parallelFor(hits.size(),
-                     [&](std::size_t i) { hits[i].fetch_add(1); });
+    forEachIndex(pool, hits.size(),
+                 [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < hits.size(); ++i)
         ASSERT_EQ(hits[i].load(), 1) << "index " << i;
 }
@@ -320,12 +334,12 @@ TEST(ThreadPoolTest, SchedulerMetricsAreObservable)
     obs::ScopedEnable on(true);
     {
         ThreadPool pool(4);
-        // Many short parallel sections. Steal and park counts are
-        // schedule-dependent (zero is legitimate on a single-core
+        // Many short parallel sections. Joins and waits are
+        // schedule-dependent (zero joins is legitimate on a loaded
         // host), so the contract tested here is the deterministic
-        // part: helper tasks are counted, the grain controller
+        // part: claimed chunks are counted, the grain controller
         // publishes its decision, and the destructor records the
-        // per-worker task distribution.
+        // per-worker join distribution.
         for (int round = 0; round < 20; ++round) {
             std::atomic<std::size_t> total{0};
             ParallelOptions options;
@@ -343,47 +357,12 @@ TEST(ThreadPoolTest, SchedulerMetricsAreObservable)
     EXPECT_NE(snapshot.findHistogram("pool.worker_tasks"), nullptr);
 }
 
-TEST(ThreadPoolTest, ZeroWorkerSubmitRunsInline)
-{
-    // With no workers a submitted task must still execute (inline on
-    // the caller): queueing it would deadlock future.get() until the
-    // destructor's drain.
-    ThreadPool pool(0);
-    auto future = pool.submit([] { return 42; });
-    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    EXPECT_EQ(future.get(), 42);
-    auto failing = pool.submit(
-        []() -> int { throw std::runtime_error("inline boom"); });
-    EXPECT_THROW(failing.get(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, SubmitWakeupIsNeverLost)
-{
-    // Regression for a lost-wakeup race in the park protocol: a task
-    // enqueued between a worker's final queue scan and its parked_
-    // announcement was folded into the worker's epoch snapshot, so it
-    // slept on a non-empty queue and the future never resolved. A
-    // single worker maximizes park/unpark round trips; every future
-    // must resolve promptly.
-    ThreadPool pool(1);
-    for (int i = 0; i < 3000; ++i) {
-        auto future = pool.submit([i] { return i; });
-        ASSERT_EQ(future.wait_for(std::chrono::seconds(30)),
-                  std::future_status::ready)
-            << "submission " << i << " was lost by the scheduler";
-        ASSERT_EQ(future.get(), i);
-    }
-}
-
 TEST(ThreadPoolTest, ExceptionExhaustsCursorBeforeRethrow)
 {
-    // Regression for a use-after-free window: helpers that start
-    // after the caller rethrew must be gated by the claim cursor (an
-    // RMW), not by relaxed visibility of the failure flag. Tight
-    // repeated sections keep stale helper tasks in flight while the
-    // next iteration reuses the stack frame; TSan (tools/check.sh)
-    // flags any touch of a dead frame.
+    // The caller rethrows only after every helper has left its job,
+    // and the throw exhausts the cursor. Tight repeated sections reuse
+    // the stack frame that held the previous job; TSan
+    // (tools/check.sh) flags any helper touching a dead frame.
     ThreadPool pool(4);
     for (int round = 0; round < 200; ++round) {
         std::atomic<std::size_t> executed{0};
@@ -412,7 +391,7 @@ TEST(ThreadPoolTest, MeasuredGrainHonorsBalanceCap)
     // Near-free items: an uncapped measured grain would cover the
     // whole remaining range in one chunk, serializing the sweep after
     // the probe. The published grain must respect the per-executor
-    // balance bound n / (executors * 4) even with maxGrain unset.
+    // balance bound n / (executors * 4).
     std::atomic<std::size_t> total{0};
     pool.parallelForRange(kN, ParallelOptions{},
                           [&](std::size_t lo, std::size_t hi) {
@@ -434,7 +413,7 @@ TEST(ThreadPoolTest, ContendedSharedStateStress)
         std::mutex mutex;
         std::set<std::size_t> seen;
         std::atomic<std::size_t> total{0};
-        pool.parallelFor(500, [&](std::size_t i) {
+        forEachIndex(pool, 500, [&](std::size_t i) {
             total.fetch_add(i);
             std::lock_guard<std::mutex> lock(mutex);
             seen.insert(i);

@@ -188,7 +188,9 @@ pass_tsan() {
     # The sharded metrics registry: 16-thread hammer, snapshots taken
     # mid-record, and the span sink under concurrent writers.
     ./build-tsan/tests/obs_test
-    ./build-tsan/tests/thread_pool_test
+    # The pool's join/leave handshake under repetition, concurrent
+    # callers (ConcurrentCallersShareOnePool) included.
+    ./build-tsan/tests/thread_pool_test --gtest_repeat=20
     ./build-tsan/tests/profile_test \
         --gtest_filter='SeedingTest.*:DatasetTest.LoadedDatasetServesIndexedQueries'
     # Exercise the iteration-parallel run() under TSan: chunked
