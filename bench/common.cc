@@ -1,7 +1,9 @@
 #include "bench/common.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <thread>
 
 #include "core/trainer.h"
 #include "models/model_zoo.h"
@@ -9,6 +11,7 @@
 #include "profile/profile_cache.h"
 #include "sim/simulator.h"
 #include "util/logging.h"
+#include "util/stats.h"
 #include "util/strings.h"
 
 namespace ceer {
@@ -251,6 +254,43 @@ addScalingFields(JsonObject &doc, unsigned hardwareThreads,
 {
     doc.num("hardware_threads", hardwareThreads);
     doc.boolean("skipped_scaling", !scalingMeaningful);
+}
+
+RepeatedTiming
+summarizeTimes(std::vector<double> micros)
+{
+    RepeatedTiming timing;
+    if (micros.empty())
+        return timing;
+    timing.reps = static_cast<int>(micros.size());
+    timing.minUs = *std::min_element(micros.begin(), micros.end());
+    timing.maxUs = *std::max_element(micros.begin(), micros.end());
+    timing.medianUs = util::median(std::move(micros));
+    return timing;
+}
+
+JsonObject &
+addTiming(JsonObject &row, const RepeatedTiming &timing)
+{
+    return row.num("reps", timing.reps)
+        .num("median_us", timing.medianUs, "%.1f")
+        .num("min_us", timing.minUs, "%.1f")
+        .num("max_us", timing.maxUs, "%.1f");
+}
+
+std::string
+hostDescription()
+{
+    std::string cpu = "unknown CPU";
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+        if (util::startsWith(line, "model name")) {
+            cpu = util::trim(line.substr(line.find(':') + 1));
+            break;
+        }
+    }
+    return util::format("%u hardware threads, %s",
+                        std::thread::hardware_concurrency(), cpu.c_str());
 }
 
 bool

@@ -12,6 +12,8 @@
 #ifndef CEER_BENCH_COMMON_H
 #define CEER_BENCH_COMMON_H
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -175,6 +177,44 @@ class JsonObject
  */
 void addScalingFields(JsonObject &doc, unsigned hardwareThreads,
                       bool scalingMeaningful);
+
+/**
+ * Wall time of one path over K repetitions: the performance ledger's
+ * record (median plus range, never a single best-of reading).
+ */
+struct RepeatedTiming
+{
+    int reps = 0;
+    double medianUs = 0.0;
+    double minUs = 0.0;
+    double maxUs = 0.0;
+};
+
+/** Summarizes per-repetition wall times in microseconds. */
+RepeatedTiming summarizeTimes(std::vector<double> micros);
+
+/** Runs @p body max(1, @p reps) times and summarizes the wall times. */
+template <typename Body>
+RepeatedTiming
+timeRepeated(int reps, const Body &body)
+{
+    std::vector<double> micros;
+    for (int i = 0; i < std::max(1, reps); ++i) {
+        const auto start = std::chrono::steady_clock::now();
+        body();
+        micros.push_back(std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
+    }
+    return summarizeTimes(std::move(micros));
+}
+
+/** Appends reps, median_us, min_us and max_us to @p row. */
+JsonObject &addTiming(JsonObject &row, const RepeatedTiming &timing);
+
+/** The host a bench ran on ("<n> hardware threads, <CPU model>"),
+    for the BENCH_*.json "host" field. */
+std::string hostDescription();
 
 /**
  * Writes @p doc to @p path ("" disables; that counts as success).

@@ -1,16 +1,17 @@
 /**
  * @file
- * I/O-path load-time microbenchmark: CSV parse vs CBF.
+ * I/O-path microbenchmark: profile CSV save and load vs CBF.
  *
  * Writes one profile dataset and one fleet-scale instance catalog to
- * disk in both dialects, then times the three load paths the loaders
- * expose — CSV text parse, streaming CBF read (read() into an owned
- * buffer), and zero-copy CBF mmap — reporting the best-of-N load time
- * for each. The CSV files are canonical (one load→save trip), so all
- * three paths must decode bit-identical containers; the bench asserts
- * that by comparing re-serialized CBF bytes and byte-identical trained
- * models downstream. Finishes with a recommend() sweep over the
- * synthetic fleet (>= 5000 instances by default) with the usual
+ * disk in both dialects, then times the profile saves (CSV text, CBF)
+ * and the three load paths the loaders expose — CSV text parse,
+ * streaming CBF read (read() into an owned buffer), and zero-copy CBF
+ * mmap — reporting each path's median with min/max over K
+ * repetitions (--load-iters). The CSV files are canonical (one
+ * load→save trip), so all three paths must decode bit-identical
+ * containers; the bench asserts that by comparing re-serialized CBF
+ * bytes and byte-identical trained models downstream. Finishes with a
+ * recommend() sweep over the synthetic fleet with the usual
  * thread-identity checks. Writes BENCH_io.json; docs/performance.md
  * and docs/file_formats.md quote these numbers.
  */
@@ -21,7 +22,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -69,23 +69,6 @@ evaluationsIdentical(const core::CandidateEvaluation &a,
            a.fitsMemory == b.fitsMemory;
 }
 
-/** Best (minimum) wall time in microseconds over @p reps runs. */
-template <typename Body>
-double
-bestOfUs(int reps, const Body &body)
-{
-    double best = std::numeric_limits<double>::infinity();
-    for (int i = 0; i < reps; ++i) {
-        const auto start = Clock::now();
-        body();
-        best = std::min(
-            best, std::chrono::duration<double, std::micro>(Clock::now() -
-                                                            start)
-                      .count());
-    }
-    return best;
-}
-
 std::int64_t
 fileBytes(const std::string &path)
 {
@@ -120,7 +103,8 @@ main(int argc, char **argv)
     flags.defineInt("train-iters", 200,
                     "profiling iterations for the dataset fixture "
                     "(200 matches the bench suite's default dataset)");
-    flags.defineInt("load-iters", 30, "timed repetitions per load path");
+    flags.defineInt("load-iters", 5,
+                    "timed repetitions (K) per save and load path");
     flags.defineInt("fleet", 6000,
                     "synthetic fleet size for the catalog loads and "
                     "the recommend() sweep");
@@ -151,9 +135,9 @@ main(int argc, char **argv)
     std::filesystem::create_directories(scratch);
 
     util::printBanner(std::cout,
-                      "micro_io: CSV parse vs CBF stream vs CBF mmap (" +
+                      "micro_io: profile CSV save/load vs CBF (" +
                           std::to_string(load_iters) + " reps/path)");
-    std::cout << "hardware threads: " << hardware << "\n";
+    std::cout << "host: " << bench::hostDescription() << "\n";
 
     // --- Fixtures: one profile dataset, one fleet catalog, both
     // dialects. The CSV is canonical (written from a dataset that was
@@ -183,10 +167,10 @@ main(int argc, char **argv)
 
     const cloud::InstanceCatalog fleet =
         cloud::InstanceCatalog::syntheticFleet(fleet_size);
-    const std::string fleet_csv = scratch + "/fleet.csv";
+    const std::string fleet_csv_path = scratch + "/fleet.csv";
     const std::string fleet_cbf = scratch + "/fleet.cbf";
     {
-        std::ofstream csv(fleet_csv);
+        std::ofstream csv(fleet_csv_path);
         fleet.saveCsv(csv);
         std::ofstream cbf(fleet_cbf, std::ios::binary);
         fleet.saveCbf(cbf);
@@ -214,12 +198,24 @@ main(int argc, char **argv)
             util::fatal(error);
         return dataset;
     };
-    const double profile_csv_us =
-        bestOfUs(load_iters, [&] { load_profile_file(profile_csv); });
-    const double profile_stream_us =
-        bestOfUs(load_iters, [&] { load_profile_stream(); });
-    const double profile_mmap_us =
-        bestOfUs(load_iters, [&] { load_profile_file(profile_cbf); });
+    // Saves time the same entry points `ceer profile` and `ceer
+    // convert` use, into a real file.
+    const auto save_to = [&](const std::string &path, bool cbf) {
+        std::ofstream out(path, std::ios::binary);
+        cbf ? canonical.saveCbf(out) : canonical.saveCsv(out);
+        if (!out.good())
+            util::fatal("cannot write " + path);
+    };
+    const bench::RepeatedTiming csv_save_time = bench::timeRepeated(
+        load_iters, [&] { save_to(scratch + "/saved.csv", false); });
+    const bench::RepeatedTiming cbf_save_time = bench::timeRepeated(
+        load_iters, [&] { save_to(scratch + "/saved.cbf", true); });
+    const bench::RepeatedTiming profile_csv_load = bench::timeRepeated(
+        load_iters, [&] { load_profile_file(profile_csv); });
+    const bench::RepeatedTiming profile_stream_load = bench::timeRepeated(
+        load_iters, [&] { load_profile_stream(); });
+    const bench::RepeatedTiming profile_mmap_load = bench::timeRepeated(
+        load_iters, [&] { load_profile_file(profile_cbf); });
 
     // Bit-identity across the three paths, fingerprinted as CBF bytes.
     const profile::ProfileDataset from_csv =
@@ -266,15 +262,15 @@ main(int argc, char **argv)
             util::fatal(error);
         return catalog;
     };
-    const double fleet_csv_us =
-        bestOfUs(load_iters, [&] { load_catalog_file(fleet_csv); });
-    const double fleet_stream_us =
-        bestOfUs(load_iters, [&] { load_catalog_stream(); });
-    const double fleet_mmap_us =
-        bestOfUs(load_iters, [&] { load_catalog_file(fleet_cbf); });
+    const bench::RepeatedTiming fleet_csv_load = bench::timeRepeated(
+        load_iters, [&] { load_catalog_file(fleet_csv_path); });
+    const bench::RepeatedTiming fleet_stream_load = bench::timeRepeated(
+        load_iters, [&] { load_catalog_stream(); });
+    const bench::RepeatedTiming fleet_mmap_load = bench::timeRepeated(
+        load_iters, [&] { load_catalog_file(fleet_cbf); });
 
     const cloud::InstanceCatalog fleet_from_csv =
-        load_catalog_file(fleet_csv);
+        load_catalog_file(fleet_csv_path);
     const cloud::InstanceCatalog fleet_from_mmap =
         load_catalog_file(fleet_cbf);
     const bool fleet_identity =
@@ -287,30 +283,42 @@ main(int argc, char **argv)
                      "bit-identical\n";
     identity_ok &= fleet_identity;
 
-    const double profile_stream_speedup =
-        profile_csv_us / profile_stream_us;
-    const double profile_mmap_speedup = profile_csv_us / profile_mmap_us;
-    const double fleet_stream_speedup = fleet_csv_us / fleet_stream_us;
-    const double fleet_mmap_speedup = fleet_csv_us / fleet_mmap_us;
-
-    util::TablePrinter load_table(
-        {"fixture", "path", "best load (us)", "speedup vs CSV"});
-    load_table.addRow({"profiles", "csv parse",
-                       util::format("%.1f", profile_csv_us), "1.00x"});
-    load_table.addRow({"profiles", "cbf stream",
-                       util::format("%.1f", profile_stream_us),
-                       util::format("%.2fx", profile_stream_speedup)});
-    load_table.addRow({"profiles", "cbf mmap",
-                       util::format("%.1f", profile_mmap_us),
-                       util::format("%.2fx", profile_mmap_speedup)});
-    load_table.addRow({"fleet", "csv parse",
-                       util::format("%.1f", fleet_csv_us), "1.00x"});
-    load_table.addRow({"fleet", "cbf stream",
-                       util::format("%.1f", fleet_stream_us),
-                       util::format("%.2fx", fleet_stream_speedup)});
-    load_table.addRow({"fleet", "cbf mmap",
-                       util::format("%.1f", fleet_mmap_us),
-                       util::format("%.2fx", fleet_mmap_speedup)});
+    // One row per timed path; speedups are ratios of medians.
+    struct TimedPath
+    {
+        const char *fixture;
+        const char *path;
+        bench::RepeatedTiming timing;
+        const bench::RepeatedTiming *csvLoad; ///< Speedup base, if any.
+    };
+    const std::vector<TimedPath> paths = {
+        {"profiles", "csv save", csv_save_time, nullptr},
+        {"profiles", "cbf save", cbf_save_time, nullptr},
+        {"profiles", "csv parse", profile_csv_load, nullptr},
+        {"profiles", "cbf stream", profile_stream_load, &profile_csv_load},
+        {"profiles", "cbf mmap", profile_mmap_load, &profile_csv_load},
+        {"fleet", "csv parse", fleet_csv_load, nullptr},
+        {"fleet", "cbf stream", fleet_stream_load, &fleet_csv_load},
+        {"fleet", "cbf mmap", fleet_mmap_load, &fleet_csv_load},
+    };
+    const auto speedup = [](const TimedPath &p) {
+        return p.csvLoad->medianUs / p.timing.medianUs;
+    };
+    util::TablePrinter load_table({"fixture", "path", "median (us)",
+                                   "min-max (us)", "speedup vs CSV"});
+    std::vector<bench::JsonObject> timing_rows;
+    for (const TimedPath &p : paths) {
+        load_table.addRow(
+            {p.fixture, p.path, util::format("%.1f", p.timing.medianUs),
+             util::format("%.1f-%.1f", p.timing.minUs, p.timing.maxUs),
+             p.csvLoad ? util::format("%.2fx", speedup(p)) : "-"});
+        bench::JsonObject row;
+        row.str("fixture", p.fixture).str("path", p.path);
+        bench::addTiming(row, p.timing);
+        if (p.csvLoad)
+            row.num("speedup_vs_csv", speedup(p), "%.2f");
+        timing_rows.push_back(std::move(row));
+    }
     load_table.print(std::cout);
     std::cout << util::format(
         "profiles: %lld op rows, %lld iter rows, %lld B csv / %lld B "
@@ -320,7 +328,8 @@ main(int argc, char **argv)
         (long long)fileBytes(profile_csv),
         (long long)fileBytes(profile_cbf),
         (long long)fleet.instances().size(),
-        (long long)fileBytes(fleet_csv), (long long)fileBytes(fleet_cbf));
+        (long long)fileBytes(fleet_csv_path),
+        (long long)fileBytes(fleet_cbf));
 
     // --- Fleet-scale recommend() sweep over the mmap-loaded catalog,
     // with the same thread-identity contract micro_ceer enforces.
@@ -410,6 +419,7 @@ main(int argc, char **argv)
         below_serial += r.belowSerial ? 1 : 0;
     bench::JsonObject doc;
     doc.str("benchmark", "io_load_throughput")
+        .str("host", bench::hostDescription())
         .str("model", model_name)
         .num("load_iters", load_iters);
     bench::addScalingFields(doc, hardware, scaling_meaningful);
@@ -419,24 +429,13 @@ main(int argc, char **argv)
              static_cast<std::int64_t>(canonical.iterations().size()))
         .num("profile_csv_bytes", fileBytes(profile_csv))
         .num("profile_cbf_bytes", fileBytes(profile_cbf))
-        .num("profile_csv_parse_us", profile_csv_us, "%.1f")
-        .num("profile_cbf_stream_us", profile_stream_us, "%.1f")
-        .num("profile_cbf_mmap_us", profile_mmap_us, "%.1f")
-        .num("profile_stream_speedup_vs_csv", profile_stream_speedup,
-             "%.2f")
-        .num("profile_mmap_speedup_vs_csv", profile_mmap_speedup, "%.2f")
-        // Headline number: zero-copy mmap vs CSV text parse on the
-        // profile dataset (the file every bench binary loads).
-        .num("mmap_speedup_vs_csv", profile_mmap_speedup, "%.2f")
         .num("fleet_instances",
              static_cast<std::int64_t>(fleet.instances().size()))
-        .num("fleet_csv_bytes", fileBytes(fleet_csv))
+        .num("fleet_csv_bytes", fileBytes(fleet_csv_path))
         .num("fleet_cbf_bytes", fileBytes(fleet_cbf))
-        .num("fleet_csv_parse_us", fleet_csv_us, "%.1f")
-        .num("fleet_cbf_stream_us", fleet_stream_us, "%.1f")
-        .num("fleet_cbf_mmap_us", fleet_mmap_us, "%.1f")
-        .num("fleet_stream_speedup_vs_csv", fleet_stream_speedup, "%.2f")
-        .num("fleet_mmap_speedup_vs_csv", fleet_mmap_speedup, "%.2f")
+        // Headline number: zero-copy mmap vs CSV text parse on the
+        // profile dataset (the file every bench binary loads).
+        .num("mmap_speedup_vs_csv", speedup(paths[4]), "%.2f")
         .boolean("identity_ok", identity_ok)
         .boolean("recommender_identity_ok", sweep_identical)
         .num("below_serial_measurements", below_serial);
@@ -450,6 +449,7 @@ main(int argc, char **argv)
             .boolean("below_serial", r.belowSerial);
         rows.push_back(std::move(row));
     }
+    doc.array("timings", std::move(timing_rows));
     doc.array("recommender_sweep", std::move(rows));
     if (!bench::writeBenchJson(flags.getString("out"), doc))
         return 1;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -27,15 +26,6 @@ namespace ceer {
 namespace baselines {
 
 namespace {
-
-/** %.17g: the shortest text that round-trips the exact bits. */
-std::string
-f17(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
 
 /** |pred - obs| / obs in percent; 0 when obs is not positive. */
 double
@@ -188,9 +178,9 @@ EvalReport::saveCsv(std::ostream &out) const
         row[2] = cell.model;
         row[3] = hw::gpuModelName(cell.gpu);
         row[4] = std::to_string(cell.k);
-        row[5] = f17(cell.observedUs);
-        row[6] = f17(cell.predictedUs);
-        row[7] = f17(cell.apePct);
+        util::appendDouble(&row[5], cell.observedUs, 17);
+        util::appendDouble(&row[6], cell.predictedUs, 17);
+        util::appendDouble(&row[7], cell.apePct, 17);
         writer.writeRow(row);
     }
     for (const EvalModelRow &model : modelRows) {
@@ -198,22 +188,22 @@ EvalReport::saveCsv(std::ostream &out) const
         row[0] = "model";
         row[1] = model.predictor;
         row[2] = model.model;
-        row[8] = f17(model.mapePct);
-        row[9] = f17(model.rmseUs);
-        row[10] = f17(model.spearman);
+        util::appendDouble(&row[8], model.mapePct, 17);
+        util::appendDouble(&row[9], model.rmseUs, 17);
+        util::appendDouble(&row[10], model.spearman, 17);
         row[11] = model.recommended;
         row[12] = model.observedBest;
-        row[13] = model.agree ? "1" : "0";
+        row[13] = model.agree ? '1' : '0';
         writer.writeRow(row);
     }
     for (const EvalSummaryRow &sum : summary) {
         row.assign(kCsvColumns, std::string());
         row[0] = "summary";
         row[1] = sum.predictor;
-        row[8] = f17(sum.mapePct);
-        row[9] = f17(sum.rmseUs);
-        row[10] = f17(sum.meanSpearman);
-        row[13] = f17(sum.agreementRate);
+        util::appendDouble(&row[8], sum.mapePct, 17);
+        util::appendDouble(&row[9], sum.rmseUs, 17);
+        util::appendDouble(&row[10], sum.meanSpearman, 17);
+        util::appendDouble(&row[13], sum.agreementRate, 17);
         writer.writeRow(row);
     }
 }

@@ -188,9 +188,10 @@ InstanceCatalog::saveCsv(std::ostream &out) const
     util::CsvWriter writer(out);
     writer.writeRow({"name", "gpu", "gpus", "hourly_usd"});
     for (const auto &instance : instances_) {
+        std::string price;
+        util::appendDouble(&price, instance.hourlyUsd, 6);
         writer.writeRow({instance.name, hw::gpuModelName(instance.gpu),
-                         std::to_string(instance.numGpus),
-                         util::format("%.6g", instance.hourlyUsd)});
+                         std::to_string(instance.numGpus), price});
     }
 }
 
@@ -277,8 +278,9 @@ InstanceCatalog::syntheticFleet(std::size_t count, std::uint64_t seed)
                            instance.numGpus * rng.uniform(0.7, 1.3);
         // Canonicalize through the CSV %.6g price dialect so CSV and
         // CBF serializations of a fleet convert byte-exactly.
-        instance.hourlyUsd =
-            util::parseDouble(util::format("%.6g", raw)).value;
+        std::string price;
+        util::appendDouble(&price, raw, 6);
+        instance.hourlyUsd = util::parseDouble(price).value;
         instance.name = util::format(
             "fleet-%s-%dgpu-%06zu",
             hw::gpuFamilyName(instance.gpu).c_str(), instance.numGpus,

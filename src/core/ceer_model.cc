@@ -176,12 +176,15 @@ addCommFit(const std::string &gpu_name, std::uint64_t k, double r2,
 void
 CeerModel::save(std::ostream &out) const
 {
+    const auto f17 = [](double value) {
+        std::string text;
+        util::appendDouble(&text, value, 17);
+        return text;
+    };
     out << "ceer_model v1\n";
-    out << "heavy_threshold_us " << util::format("%.17g", heavyThresholdUs)
-        << "\n";
-    out << "light_median_us " << util::format("%.17g", lightMedianUs)
-        << "\n";
-    out << "cpu_median_us " << util::format("%.17g", cpuMedianUs) << "\n";
+    out << "heavy_threshold_us " << f17(heavyThresholdUs) << "\n";
+    out << "light_median_us " << f17(lightMedianUs) << "\n";
+    out << "cpu_median_us " << f17(cpuMedianUs) << "\n";
     out << "heavy_ops";
     for (OpType op : heavyOps)
         out << " " << graph::opTypeName(op);
@@ -190,8 +193,7 @@ CeerModel::save(std::ostream &out) const
         out << "op_model " << hw::gpuModelName(key.first) << " "
             << graph::opTypeName(key.second) << " "
             << (model.quadratic ? 1 : 0) << " " << (model.usable ? 1 : 0)
-            << " " << util::format("%.17g", model.r2) << " "
-            << util::format("%.17g", model.medianUs) << " "
+            << " " << f17(model.r2) << " " << f17(model.medianUs) << " "
             << model.points << " " << model.model.serialize() << "\n";
     }
     for (const auto &[gpu, per_k] : comm.fits) {
@@ -199,7 +201,7 @@ CeerModel::save(std::ostream &out) const
             if (!per_k[i].valid)
                 continue;
             out << "comm_fit " << hw::gpuModelName(gpu) << " " << (i + 1)
-                << " " << util::format("%.17g", per_k[i].r2) << " "
+                << " " << f17(per_k[i].r2) << " "
                 << per_k[i].model.serialize() << "\n";
         }
     }

@@ -143,9 +143,13 @@ LinearModel::weights() const
 std::string
 LinearModel::serialize() const
 {
-    std::string out = util::format("%.17g", intercept_);
+    std::string out;
+    util::appendDouble(&out, intercept_, 17);
     for (std::size_t j = 0; j < weights_.size(); ++j) {
-        out += util::format(";%.17g,%.17g", weights_[j], scales_[j]);
+        out += ';';
+        util::appendDouble(&out, weights_[j], 17);
+        out += ',';
+        util::appendDouble(&out, scales_[j], 17);
     }
     return out;
 }

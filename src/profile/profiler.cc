@@ -168,51 +168,194 @@ checkIterationRow(std::size_t row, const std::string &gpu,
     return true;
 }
 
+/** Parses one numeric CSV field; a failure names its (row, column)
+    coordinates plus the column name. */
+bool
+parseCsvDouble(const std::string &field, std::size_t row,
+               std::size_t column, const char *name, double *out,
+               std::string *error)
+{
+    const auto result = util::parseDouble(field);
+    if (!result) {
+        *error = util::format("row %zu column %zu (%s): %s: '%s'", row,
+                              column, name, result.error, field.c_str());
+        return false;
+    }
+    *out = result.value;
+    return true;
+}
+
+/** One decoded profile-CSV data row: an iteration or an op profile. */
+struct DecodedRow
+{
+    bool ok = false;
+    bool isIteration = false;
+    IterationProfile run;
+    OpProfile op;
+    std::string error; ///< Why the row is malformed, when !ok.
+};
+
+/** Decodes data row @p i (1-based after the header) into @p out;
+    false leaves the row's error text in out->error. */
+bool
+decodeCsvRow(std::size_t i, const std::vector<std::string> &row,
+             DecodedRow *out)
+{
+    std::string *error = &out->error;
+    if (row.size() < 11) {
+        *error = util::format("row %zu has %zu fields", i, row.size());
+        return false;
+    }
+    if (row[0] == "iter") {
+        out->isIteration = true;
+        IterationProfile &run = out->run;
+        run.model = row[1];
+        const auto num_gpus = util::parseInt64(row[3]);
+        if (!num_gpus) {
+            *error = util::format(
+                "row %zu column 4 (num_gpus): bad value '%s'", i,
+                row[3].c_str());
+            return false;
+        }
+        const auto params = util::parseInt64(row[4]);
+        if (!params) {
+            *error = util::format(
+                "row %zu column 5 (param_count): %s: '%s'", i,
+                params.error, row[4].c_str());
+            return false;
+        }
+        run.paramCount = params.value;
+        return parseCsvDouble(row[7], i, 8, "mean_iteration_us",
+                              &run.meanIterationUs, error) &&
+               parseCsvDouble(row[8], i, 9, "mean_compute_us",
+                              &run.meanComputeUs, error) &&
+               parseCsvDouble(row[9], i, 10, "mean_comm_us",
+                              &run.meanCommUs, error) &&
+               checkIterationRow(i, row[2], num_gpus.value, &run, error);
+    }
+    if (row[0] != "op") {
+        *error = "unknown row kind '" + row[0] + "'";
+        return false;
+    }
+    OpProfile &profile = out->op;
+    profile.model = row[1];
+    if (!hw::gpuModelFromName(row[2], profile.gpu)) {
+        *error = "bad GPU " + row[2];
+        return false;
+    }
+    if (!graph::opTypeFromName(row[3], profile.op)) {
+        *error = "bad op " + row[3];
+        return false;
+    }
+    profile.onCpu = row[4] == "cpu";
+    const auto occurrences = util::parseSize(row[5]);
+    if (!occurrences) {
+        *error = util::format("row %zu column 6 (occurrences): %s: '%s'",
+                              i, occurrences.error, row[5].c_str());
+        return false;
+    }
+    profile.occurrences = occurrences.value;
+    const auto count = util::parseSize(row[6]);
+    if (!count) {
+        *error = util::format("row %zu column 7 (count): %s: '%s'", i,
+                              count.error, row[6].c_str());
+        return false;
+    }
+    // The moment reconstruction below loops `count` times; a corrupt
+    // count must not turn into a near-infinite loop.
+    constexpr std::size_t kMaxPlausibleCount = 100'000'000;
+    if (count.value > kMaxPlausibleCount) {
+        *error = util::format(
+            "row %zu column 7 (count): implausibly large count '%s'", i,
+            row[6].c_str());
+        return false;
+    }
+    double mean = 0.0, stddev = 0.0;
+    if (!parseCsvDouble(row[7], i, 8, "mean_us", &mean, error) ||
+        !parseCsvDouble(row[8], i, 9, "stddev_us", &stddev, error))
+        return false;
+    for (const auto &text : util::split(row[9], ';')) {
+        if (text.empty())
+            continue;
+        double feature = 0.0;
+        if (!parseCsvDouble(text, i, 10, "features", &feature, error))
+            return false;
+        profile.features.push_back(feature);
+    }
+    for (const auto &text : util::split(row[10], ';')) {
+        if (text.empty())
+            continue;
+        double sample = 0.0;
+        if (!parseCsvDouble(text, i, 11, "samples", &sample, error))
+            return false;
+        profile.samples.add(sample);
+    }
+    // The CSV keeps (count, mean, stddev); rebuild the accumulator as
+    // a two-point distribution with those moments.
+    profile.timeUs = util::RunningStats::twoPoint(count.value, mean, stddev);
+    return true;
+}
+
 } // namespace
 
 void
 ProfileDataset::saveCsv(std::ostream &out) const
 {
-    util::CsvWriter writer(out);
-    writer.writeRow({"kind", "model", "gpu", "op", "device",
-                     "occurrences", "count", "mean_us", "stddev_us",
-                     "features", "samples"});
+    // Rows are appended to one buffer that reaches the stream in
+    // 64 KiB writes (a whole-file buffer would add the file's size to
+    // peak memory); only the string fields can need CSV quoting.
+    std::string text = "kind,model,gpu,op,device,occurrences,count,"
+                       "mean_us,stddev_us,features,samples\n";
+    const auto flush = [&](std::size_t at_least) {
+        if (text.size() < at_least)
+            return;
+        out.write(text.data(), static_cast<std::streamsize>(text.size()));
+        text.clear();
+    };
+    const auto add_text = [&text](const std::string &field) {
+        text += util::CsvWriter::escape(field);
+        text += ',';
+    };
+    const auto add_number = [&text](double value, int precision) {
+        util::appendDouble(&text, value, precision);
+        text += ',';
+    };
     for (const auto &run : iterations_) {
-        writer.writeRow({
-            "iter",
-            run.model,
-            hw::gpuModelName(run.gpu),
-            std::to_string(run.numGpus),
-            std::to_string(run.paramCount),
-            "",
-            "",
-            util::format("%.9g", run.meanIterationUs),
-            util::format("%.9g", run.meanComputeUs),
-            util::format("%.9g", run.meanCommUs),
-            "",
-        });
+        text += "iter,";
+        add_text(run.model);
+        add_text(hw::gpuModelName(run.gpu));
+        text += std::to_string(run.numGpus) + ',' +
+                std::to_string(run.paramCount) + ",,,";
+        add_number(run.meanIterationUs, 9);
+        add_number(run.meanComputeUs, 9);
+        add_number(run.meanCommUs, 9);
+        text += '\n';
     }
+    const auto add_list = [&text](const std::vector<double> &values,
+                                  int precision) {
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            if (i)
+                text += ';';
+            util::appendDouble(&text, values[i], precision);
+        }
+    };
     for (const auto &profile : ops_) {
-        std::vector<std::string> feature_text;
-        for (double f : profile.features)
-            feature_text.push_back(util::format("%.17g", f));
-        std::vector<std::string> sample_text;
-        for (double s : profile.samples.samples())
-            sample_text.push_back(util::format("%.6g", s));
-        writer.writeRow({
-            "op",
-            profile.model,
-            hw::gpuModelName(profile.gpu),
-            graph::opTypeName(profile.op),
-            profile.onCpu ? "cpu" : "gpu",
-            std::to_string(profile.occurrences),
-            std::to_string(profile.timeUs.count()),
-            util::format("%.9g", profile.timeUs.mean()),
-            util::format("%.9g", profile.timeUs.stddev()),
-            util::join(feature_text, ";"),
-            util::join(sample_text, ";"),
-        });
+        text += "op,";
+        add_text(profile.model);
+        add_text(hw::gpuModelName(profile.gpu));
+        add_text(graph::opTypeName(profile.op));
+        text += profile.onCpu ? "cpu," : "gpu,";
+        text += std::to_string(profile.occurrences) + ',' +
+                std::to_string(profile.timeUs.count()) + ',';
+        add_number(profile.timeUs.mean(), 9);
+        add_number(profile.timeUs.stddev(), 9);
+        add_list(profile.features, 17);
+        text += ',';
+        add_list(profile.samples.samples(), 6);
+        text += '\n';
+        flush(64 * 1024);
     }
+    flush(1);
 }
 
 ProfileDataset
@@ -229,137 +372,36 @@ bool
 ProfileDataset::tryLoadCsv(std::istream &in, ProfileDataset *dataset,
                            std::string *error)
 {
-    ProfileDataset parsed;
-    std::vector<OpProfile> loaded_ops;
     std::vector<std::vector<std::string>> rows;
     if (!util::tryReadCsv(in, &rows, error))
         return false;
-    // Numeric fields are parsed through this helper so every failure
-    // reports its (row, column) coordinates plus the column name.
-    std::size_t row_no = 0;
-    const auto parse_double = [&](const std::string &field,
-                                  std::size_t column, const char *name,
-                                  double *out) {
-        const auto result = util::parseDouble(field);
-        if (!result) {
-            *error = util::format("row %zu column %zu (%s): %s: '%s'",
-                                  row_no, column, name, result.error,
-                                  field.c_str());
+    // Data rows decode independently into their own slots on the pool:
+    // an op row's moment replay takes 1 to ~10^5 Welford steps, so the
+    // grain is measured. Slots are merged in row order below, which
+    // keeps the dataset and the reported (lowest-numbered) bad row the
+    // same at any thread count. decoded[i] is CSV row i (0 is the
+    // header and stays unused).
+    std::vector<DecodedRow> decoded(rows.size());
+    util::parallelForRange(
+        rows.empty() ? 0 : rows.size() - 1, util::ParallelOptions{},
+        [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo + 1; i <= hi; ++i)
+                decoded[i].ok = decodeCsvRow(i, rows[i], &decoded[i]);
+        });
+    rows.clear(); // Free the tokens before the merge: peak memory.
+    ProfileDataset parsed;
+    std::vector<OpProfile> loaded_ops;
+    loaded_ops.reserve(decoded.size());
+    for (std::size_t i = 1; i < decoded.size(); ++i) {
+        DecodedRow &row = decoded[i];
+        if (!row.ok) {
+            *error = std::move(row.error);
             return false;
         }
-        *out = result.value;
-        return true;
-    };
-    for (std::size_t i = 1; i < rows.size(); ++i) {
-        const auto &row = rows[i];
-        row_no = i;
-        if (row.size() < 11) {
-            *error = util::format("row %zu has %zu fields", i,
-                                  row.size());
-            return false;
-        }
-        if (row[0] == "iter") {
-            IterationProfile run;
-            run.model = row[1];
-            const auto num_gpus = util::parseInt64(row[3]);
-            if (!num_gpus) {
-                *error = util::format(
-                    "row %zu column 4 (num_gpus): bad value '%s'", i,
-                    row[3].c_str());
-                return false;
-            }
-            const auto params = util::parseInt64(row[4]);
-            if (!params) {
-                *error = util::format(
-                    "row %zu column 5 (param_count): %s: '%s'", i,
-                    params.error, row[4].c_str());
-                return false;
-            }
-            run.paramCount = params.value;
-            if (!parse_double(row[7], 8, "mean_iteration_us",
-                              &run.meanIterationUs) ||
-                !parse_double(row[8], 9, "mean_compute_us",
-                              &run.meanComputeUs) ||
-                !parse_double(row[9], 10, "mean_comm_us",
-                              &run.meanCommUs) ||
-                !checkIterationRow(i, row[2], num_gpus.value, &run,
-                                   error))
-                return false;
-            parsed.iterations_.push_back(std::move(run));
-            continue;
-        }
-        if (row[0] != "op") {
-            *error = "unknown row kind '" + row[0] + "'";
-            return false;
-        }
-        OpProfile profile;
-        profile.model = row[1];
-        if (!hw::gpuModelFromName(row[2], profile.gpu)) {
-            *error = "bad GPU " + row[2];
-            return false;
-        }
-        if (!graph::opTypeFromName(row[3], profile.op)) {
-            *error = "bad op " + row[3];
-            return false;
-        }
-        profile.onCpu = row[4] == "cpu";
-        const auto occurrences = util::parseSize(row[5]);
-        if (!occurrences) {
-            *error = util::format(
-                "row %zu column 6 (occurrences): %s: '%s'", i,
-                occurrences.error, row[5].c_str());
-            return false;
-        }
-        profile.occurrences = occurrences.value;
-        const auto count_parsed = util::parseSize(row[6]);
-        if (!count_parsed) {
-            *error = util::format("row %zu column 7 (count): %s: '%s'",
-                                  i, count_parsed.error, row[6].c_str());
-            return false;
-        }
-        const std::size_t count = count_parsed.value;
-        // The moment reconstruction below loops `count` times; a
-        // corrupt count must not turn into a near-infinite loop.
-        constexpr std::size_t kMaxPlausibleCount = 100'000'000;
-        if (count > kMaxPlausibleCount) {
-            *error = util::format(
-                "row %zu column 7 (count): implausibly large count "
-                "'%s'", i, row[6].c_str());
-            return false;
-        }
-        double mean = 0.0, stddev = 0.0;
-        if (!parse_double(row[7], 8, "mean_us", &mean) ||
-            !parse_double(row[8], 9, "stddev_us", &stddev))
-            return false;
-        for (const auto &text : util::split(row[9], ';')) {
-            if (text.empty())
-                continue;
-            double feature = 0.0;
-            if (!parse_double(text, 10, "features", &feature))
-                return false;
-            profile.features.push_back(feature);
-        }
-        for (const auto &text : util::split(row[10], ';')) {
-            if (text.empty())
-                continue;
-            double sample = 0.0;
-            if (!parse_double(text, 11, "samples", &sample))
-                return false;
-            profile.samples.add(sample);
-        }
-        // Rebuild approximate RunningStats from (count, mean, stddev):
-        // we reconstruct a two-point distribution with those moments.
-        if (count == 1) {
-            profile.timeUs.add(mean);
-        } else if (count > 1) {
-            const double half =
-                stddev * std::sqrt(static_cast<double>(count - 1) /
-                                   static_cast<double>(count));
-            for (std::size_t j = 0; j < count; ++j)
-                profile.timeUs.add(j % 2 == 0 ? mean + half
-                                              : mean - half);
-        }
-        loaded_ops.push_back(std::move(profile));
+        if (row.isIteration)
+            parsed.iterations_.push_back(std::move(row.run));
+        else
+            loaded_ops.push_back(std::move(row.op));
     }
     // Route through add() so the (gpu, op) indices are built.
     parsed.add(std::move(loaded_ops));

@@ -160,6 +160,12 @@ class ProfileDataset
      * truncated row, garbled number, broken quoting — must degrade to
      * a cache miss (re-profile) rather than terminate the process.
      *
+     * Data rows decode in parallel on util::ThreadPool::shared() (an
+     * op row replays its (count, mean, stddev) triple through
+     * util::RunningStats::twoPoint) and merge in row order, so the
+     * dataset, and the error naming the lowest-numbered malformed row,
+     * are the same at any core count.
+     *
      * @param in      Input stream.
      * @param dataset Receives the parsed dataset on success.
      * @param error   Receives a "row N column M ..." description on

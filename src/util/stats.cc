@@ -83,6 +83,38 @@ RunningStats::fromState(std::size_t count, double mean, double m2,
     return stats;
 }
 
+RunningStats
+RunningStats::twoPoint(std::size_t count, double mean, double stddev)
+{
+    RunningStats stats;
+    if (count < 2) {
+        if (count == 1)
+            stats.add(mean);
+        return stats;
+    }
+    const double half = stddev * std::sqrt(static_cast<double>(count - 1) /
+                                           static_cast<double>(count));
+    const double high = mean + half;
+    const double low = mean - half;
+    // add()'s recurrence on locals, in add()'s operation order.
+    double running_mean = 0.0;
+    double m2 = 0.0;
+    for (std::size_t j = 0; j < count; ++j) {
+        const double x = j % 2 == 0 ? high : low;
+        const double delta = x - running_mean;
+        running_mean += delta / static_cast<double>(j + 1);
+        m2 += delta * (x - running_mean);
+    }
+    stats.count_ = count;
+    stats.mean_ = running_mean;
+    stats.m2_ = m2;
+    // add()'s min/max fold over {high, low, high, ...} settles after
+    // the second value, NaNs included.
+    stats.min_ = std::min(high, low);
+    stats.max_ = std::max(high, low);
+    return stats;
+}
+
 double
 RunningStats::min() const
 {

@@ -71,6 +71,18 @@ class RunningStats
     static RunningStats fromState(std::size_t count, double mean,
                                   double m2, double min, double max);
 
+    /**
+     * The accumulator that add() builds from @p count observations
+     * alternating mean + h, mean - h, mean + h, ..., where
+     * h = stddev * sqrt((count - 1) / count): a two-point distribution
+     * with the given (count, mean, stddev), as stored by the profile
+     * CSV. count == 1 adds @p mean once; count == 0 is empty. Runs the
+     * same Welford recurrence as add(), so every moment is
+     * bit-identical to the add() loop.
+     */
+    static RunningStats twoPoint(std::size_t count, double mean,
+                                 double stddev);
+
   private:
     std::size_t count_ = 0;
     double mean_ = 0.0;

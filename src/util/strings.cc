@@ -1,6 +1,7 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -10,19 +11,37 @@ namespace util {
 std::string
 format(const char *fmt, ...)
 {
+    // One pass into a stack buffer; a second only when it overflowed.
+    char buf[256];
     va_list args;
     va_start(args, fmt);
     va_list args_copy;
     va_copy(args_copy, args);
-    const int needed = std::vsnprintf(nullptr, 0, fmt, args);
+    const int needed = std::vsnprintf(buf, sizeof buf, fmt, args);
     va_end(args);
     std::string out;
-    if (needed > 0) {
+    if (needed > 0 && static_cast<std::size_t>(needed) < sizeof buf) {
+        out.assign(buf, static_cast<std::size_t>(needed));
+    } else if (needed > 0) {
         out.resize(static_cast<std::size_t>(needed));
         std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
     }
     va_end(args_copy);
     return out;
+}
+
+void
+appendDouble(std::string *out, double value, int precision)
+{
+    char buf[64];
+    const auto result =
+        std::to_chars(buf, buf + sizeof buf, value,
+                      std::chars_format::general, precision);
+    if (result.ec != std::errc{}) {
+        *out += format("%.*g", precision, value);
+        return;
+    }
+    out->append(buf, result.ptr);
 }
 
 std::vector<std::string>

@@ -3,7 +3,8 @@
  * Small string helpers (split/join/trim) and printf-style formatting.
  *
  * GCC 12 lacks std::format, so format() wraps vsnprintf with a
- * std::string result.
+ * std::string result; appendDouble() is the one number formatter of
+ * the text writers.
  */
 
 #ifndef CEER_UTIL_STRINGS_H
@@ -18,6 +19,12 @@ namespace util {
 /** printf-style formatting into a std::string. */
 std::string format(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/**
+ * Appends @p value as printf's `%.<precision>g` would print it, via
+ * std::to_chars (no locale, no allocation beyond the append).
+ */
+void appendDouble(std::string *out, double value, int precision);
 
 /** Splits @p text on @p delim; consecutive delimiters yield empty parts. */
 std::vector<std::string> split(const std::string &text, char delim);

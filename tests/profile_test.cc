@@ -6,6 +6,7 @@
  * contribution).
  */
 
+#include <cmath>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,9 @@
 #include "obs/metrics.h"
 #include "profile/features.h"
 #include "profile/profiler.h"
+#include "util/csv.h"
+#include "util/parse.h"
+#include "util/strings.h"
 
 namespace ceer {
 namespace profile {
@@ -214,6 +218,89 @@ TEST(DatasetTest, CsvRoundTripPreservesIterationRows)
         EXPECT_NEAR(restored.meanCommUs, original.meanCommUs,
                     1e-6 * original.meanCommUs + 1e-9);
     }
+}
+
+/**
+ * The profile CSV loader as it was before rows decoded in parallel:
+ * one row at a time, moments replayed through RunningStats::add().
+ * Valid input only; it is the bit-identity reference for tryLoadCsv.
+ */
+ProfileDataset
+referenceLoadCsv(const std::string &text)
+{
+    std::istringstream in(text);
+    const auto rows = util::readCsv(in);
+    ProfileDataset dataset;
+    std::vector<OpProfile> ops;
+    const auto number = [](const std::string &field) {
+        return util::parseDouble(field).value;
+    };
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+        const auto &row = rows[i];
+        if (row[0] == "iter") {
+            IterationProfile run;
+            run.model = row[1];
+            EXPECT_TRUE(hw::gpuModelFromName(row[2], run.gpu));
+            run.numGpus = static_cast<int>(util::parseInt64(row[3]).value);
+            run.paramCount = util::parseInt64(row[4]).value;
+            run.meanIterationUs = number(row[7]);
+            run.meanComputeUs = number(row[8]);
+            run.meanCommUs = number(row[9]);
+            dataset.addIteration(run);
+            continue;
+        }
+        OpProfile profile;
+        profile.model = row[1];
+        EXPECT_TRUE(hw::gpuModelFromName(row[2], profile.gpu));
+        EXPECT_TRUE(graph::opTypeFromName(row[3], profile.op));
+        profile.onCpu = row[4] == "cpu";
+        profile.occurrences = util::parseSize(row[5]).value;
+        const std::size_t count = util::parseSize(row[6]).value;
+        const double mean = number(row[7]);
+        const double stddev = number(row[8]);
+        for (const auto &field : util::split(row[9], ';'))
+            if (!field.empty())
+                profile.features.push_back(number(field));
+        for (const auto &field : util::split(row[10], ';'))
+            if (!field.empty())
+                profile.samples.add(number(field));
+        if (count == 1) {
+            profile.timeUs.add(mean);
+        } else if (count > 1) {
+            const double half =
+                stddev * std::sqrt(static_cast<double>(count - 1) /
+                                   static_cast<double>(count));
+            for (std::size_t j = 0; j < count; ++j)
+                profile.timeUs.add(j % 2 == 0 ? mean + half
+                                              : mean - half);
+        }
+        ops.push_back(std::move(profile));
+    }
+    dataset.add(std::move(ops));
+    return dataset;
+}
+
+std::string
+cbfBytes(const ProfileDataset &dataset)
+{
+    std::ostringstream out;
+    dataset.saveCbf(out);
+    return out.str();
+}
+
+TEST(DatasetTest, CsvRoundTripIsByteIdenticalAndMatchesReferenceLoader)
+{
+    const ProfileDataset &dataset = smallDataset();
+    std::ostringstream first;
+    dataset.saveCsv(first);
+    std::istringstream in(first.str());
+    ProfileDataset loaded;
+    std::string error;
+    ASSERT_TRUE(ProfileDataset::tryLoadCsv(in, &loaded, &error)) << error;
+    std::ostringstream second;
+    loaded.saveCsv(second);
+    EXPECT_EQ(second.str(), first.str());
+    EXPECT_EQ(cbfBytes(loaded), cbfBytes(referenceLoadCsv(first.str())));
 }
 
 TEST(SeedingTest, RunSeedsAreOrderIndependentAndCollisionFree)

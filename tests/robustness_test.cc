@@ -5,7 +5,9 @@
  * rather than silently corrupting an experiment.
  */
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -155,6 +157,47 @@ TEST(CsvRobustnessTest, TryLoadRecoversInsteadOfDying)
                                                          &error));
         EXPECT_FALSE(error.empty());
     }
+}
+
+TEST(CsvRobustnessTest, LowestMalformedRowIsReportedAfterParallelDecode)
+{
+    // Rows decode in parallel; the reported error must still be the
+    // first bad row in document order, never whichever decoded first.
+    const auto document = [](std::initializer_list<std::size_t> bad_rows) {
+        std::string text =
+            "kind,model,gpu,op,device,occurrences,count,mean_us,"
+            "stddev_us,features,samples\n";
+        for (std::size_t row = 1; row <= 5000; ++row) {
+            const bool bad = std::find(bad_rows.begin(), bad_rows.end(),
+                                       row) != bad_rows.end();
+            text += "op,vgg_11,V100,Conv2D,gpu," + std::to_string(row) +
+                    ",200," + (bad ? "5x0" : "5") + ",1,1;2,5;6\n";
+        }
+        return text;
+    };
+    const std::string both = document({17, 4000});
+    const std::string late = document({4000});
+    for (int repeat = 0; repeat < 20; ++repeat) {
+        SCOPED_TRACE(repeat);
+        std::istringstream in(both);
+        profile::ProfileDataset dataset;
+        std::string error;
+        ASSERT_FALSE(
+            profile::ProfileDataset::tryLoadCsv(in, &dataset, &error));
+        EXPECT_EQ(error.rfind("row 17 column 8 (mean_us):", 0), 0u)
+            << error;
+        std::istringstream late_in(late);
+        ASSERT_FALSE(profile::ProfileDataset::tryLoadCsv(late_in, &dataset,
+                                                         &error));
+        EXPECT_EQ(error.rfind("row 4000 column 8 (mean_us):", 0), 0u)
+            << error;
+    }
+    // The same document without bad rows loads every row in order.
+    std::istringstream good_in(document({}));
+    const auto loaded = profile::ProfileDataset::loadCsv(good_in);
+    ASSERT_EQ(loaded.ops().size(), 5000u);
+    for (std::size_t i = 0; i < loaded.ops().size(); ++i)
+        ASSERT_EQ(loaded.ops()[i].occurrences, i + 1);
 }
 
 // --- CeerModel text files ---

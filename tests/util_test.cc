@@ -4,7 +4,11 @@
  */
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <vector>
@@ -149,6 +153,54 @@ TEST(RunningStatsTest, NormalizedStddevIsCoefficientOfVariation)
     // mean 100, sample stddev sqrt(200) ~ 14.14 -> CV ~ 0.1414.
     EXPECT_NEAR(stats.normalizedStddev(), std::sqrt(200.0) / 100.0,
                 1e-12);
+}
+
+/** Bit pattern of a double (== conflates +0/-0 and fails on NaN). */
+std::uint64_t
+bitsOf(double x)
+{
+    std::uint64_t u;
+    std::memcpy(&u, &x, sizeof u);
+    return u;
+}
+
+TEST(RunningStatsTest, TwoPointMatchesAddLoop)
+{
+    // The reference is the per-add() replay the profile CSV loader
+    // ran before twoPoint() existed.
+    const auto replay = [](std::size_t count, double mean, double stddev) {
+        RunningStats stats;
+        if (count == 1) {
+            stats.add(mean);
+        } else if (count > 1) {
+            const double half =
+                stddev * std::sqrt(static_cast<double>(count - 1) /
+                                   static_cast<double>(count));
+            for (std::size_t j = 0; j < count; ++j)
+                stats.add(j % 2 == 0 ? mean + half : mean - half);
+        }
+        return stats;
+    };
+    Rng rng(2024);
+    for (std::size_t count : {0u, 1u, 2u, 3u, 1001u, 142000u}) {
+        for (int trial = 0; trial < 12; ++trial) {
+            const double mean = std::exp(rng.uniform(-5.0, 12.0)) *
+                                (trial % 5 == 4 ? -1.0 : 1.0);
+            const double stddev =
+                trial % 4 == 3 ? 0.0 : mean * rng.uniform(0.0, 2.0);
+            SCOPED_TRACE(format("count %zu mean %.17g stddev %.17g", count,
+                                mean, stddev));
+            const RunningStats expected = replay(count, mean, stddev);
+            const RunningStats got =
+                RunningStats::twoPoint(count, mean, stddev);
+            EXPECT_EQ(got.count(), expected.count());
+            EXPECT_EQ(bitsOf(got.mean()), bitsOf(expected.mean()));
+            EXPECT_EQ(bitsOf(got.sumSquaredDeviations()),
+                      bitsOf(expected.sumSquaredDeviations()));
+            EXPECT_EQ(bitsOf(got.min()), bitsOf(expected.min()));
+            EXPECT_EQ(bitsOf(got.max()), bitsOf(expected.max()));
+        }
+    }
 }
 
 TEST(MedianTest, OddAndEvenCounts)
@@ -535,6 +587,53 @@ TEST(StringsTest, FormatAndHumanUnits)
     EXPECT_EQ(humanMicros(2500.0), "2.50ms");
     EXPECT_EQ(humanMicros(2.5e6), "2.50s");
     EXPECT_EQ(humanMicros(7.2e9), "2.00h");
+}
+
+TEST(StringsTest, FormatLongerThanStackBufferIsComplete)
+{
+    // format() prints into a 256-byte stack buffer first; outputs of
+    // 255 bytes and up (250 + 5 here) must come out whole.
+    for (std::size_t length : {0u, 200u, 249u, 250u, 251u, 252u, 5000u}) {
+        const std::string body(length, 'x');
+        const std::string expected = "<" + body + ">#42";
+        EXPECT_EQ(format("<%s>#%d", body.c_str(), 42), expected);
+    }
+}
+
+TEST(StringsTest, AppendDoubleMatchesPrintf)
+{
+    const auto printf_g = [](double value, int precision) {
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "%.*g", precision, value);
+        return std::string(buf);
+    };
+    std::vector<double> values = {
+        0.0, -0.0, 1.0, -1.0, 0.1, 0.5, 1e-5, 1e-4, 123456789.0, 1e16,
+        1e17, 9.999999999e22, 2.5, 3.5, 0.00012345678901234567,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(), DBL_MIN / 3.0,
+        DBL_MIN, DBL_MAX, -DBL_MAX};
+    // Seeded random bit patterns cover every exponent, subnormals and
+    // NaN payloads included.
+    std::uint64_t state = 77;
+    for (int i = 0; i < 200000; ++i) {
+        const std::uint64_t bits = splitMix64(state);
+        double value;
+        std::memcpy(&value, &bits, sizeof value);
+        values.push_back(value);
+    }
+    for (int precision : {4, 6, 9, 17}) {
+        for (double value : values) {
+            std::string text = "prefix;";
+            appendDouble(&text, value, precision);
+            ASSERT_EQ(text, "prefix;" + printf_g(value, precision))
+                << "bits " << bitsOf(value) << " precision " << precision;
+        }
+    }
 }
 
 TEST(TableTest, RendersAlignedColumns)

@@ -179,7 +179,8 @@ pass_tsan() {
           -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
     cmake --build build-tsan -j "$JOBS" \
           --target obs_test thread_pool_test profile_test sim_test \
-                   predict_plan_test serve_test baselines_test
+                   predict_plan_test serve_test baselines_test \
+                   robustness_test
 
     # Run the TSan binaries directly (ctest discovery would require
     # every test target to be built). TSAN_OPTIONS makes races hard
@@ -192,7 +193,11 @@ pass_tsan() {
     # callers (ConcurrentCallersShareOnePool) included.
     ./build-tsan/tests/thread_pool_test --gtest_repeat=20
     ./build-tsan/tests/profile_test \
-        --gtest_filter='SeedingTest.*:DatasetTest.LoadedDatasetServesIndexedQueries'
+        --gtest_filter='SeedingTest.*:DatasetTest.LoadedDatasetServesIndexedQueries:DatasetTest.CsvRoundTripIsByteIdenticalAndMatchesReferenceLoader'
+    # The profile CSV loader decodes rows on the pool: slot writes,
+    # the ordered merge and the lowest-bad-row report.
+    ./build-tsan/tests/robustness_test \
+        --gtest_filter='CsvRobustnessTest.LowestMalformedRowIsReportedAfterParallelDecode'
     # Exercise the iteration-parallel run() under TSan: chunked
     # fan-out across the thread pool with deterministic merge.
     ./build-tsan/tests/sim_test \
