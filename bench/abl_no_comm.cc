@@ -38,14 +38,15 @@ main(int argc, char **argv)
         for (int k : {1, 4}) {
             const graph::Graph g =
                 models::buildModel(name, config.batch);
+            const core::PredictPlan plan = predictor.compile(g);
             double full_sum = 0.0, ablated_sum = 0.0;
             for (GpuModel gpu : hw::allGpuModels()) {
                 const double observed = bench::observedIterationUs(
                     g, gpu, k, config, ++salt);
                 const double full =
-                    predictor.predictIterationUs(g, gpu, k);
+                    predictor.predictIterationUs(plan, gpu, k);
                 const double ablated = predictor.predictIterationUs(
-                    g, gpu, k, {.includeComm = false});
+                    plan, gpu, k, {.includeComm = false});
                 full_sum += std::abs(full / observed - 1.0);
                 ablated_sum += std::abs(ablated / observed - 1.0);
             }

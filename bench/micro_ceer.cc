@@ -2,14 +2,14 @@
  * @file
  * Prediction-path throughput microbenchmark.
  *
- * Measures the compiled-plan predictor (CeerPredictor::compile +
- * predictBatch) against the scalar node walk it replaces, and the
- * parallel recommender sweep against the serial one, verifying both
- * determinism contracts along the way: every compiled prediction must
- * be bit-identical to the node walk, and the Recommendation — winner
- * and full evaluation list — must be byte-identical at every thread
- * count. Writes BENCH_ceer.json so future PRs can track the perf
- * trajectory.
+ * Times CeerPredictor::compile (the one graph walk that computes every
+ * GPU's heavy term) and plan evaluation over every (GPU, k) candidate,
+ * each as K repetitions reported as median plus range, and the
+ * parallel recommender sweep against the serial one. The sweep's
+ * determinism contract is verified along the way: the Recommendation
+ * — winner and full evaluation list — must be byte-identical at every
+ * thread count (nonzero exit otherwise). Writes BENCH_ceer.json so
+ * future changes can track the perf trajectory.
  *
  * Thread counts beyond the hardware are not swept: on an
  * oversubscribed host a "parallel speedup" below 1.0 is a scheduling
@@ -72,11 +72,8 @@ main(int argc, char **argv)
 {
     util::Flags flags;
     flags.defineString("model", "resnet_101", "CNN to predict");
-    // Large enough that the scalar walk's timed region is hundreds of
-    // milliseconds; the compiled path then resolves well above timer
-    // noise even at >100x speedups.
     flags.defineInt("iters", 2000,
-                    "prediction rounds per timed run (each round "
+                    "prediction rounds per timed repetition (each round "
                     "evaluates every GPU x k candidate)");
     flags.defineInt("train-iters", 30, "profiling iterations for the "
                                        "throwaway training fixture");
@@ -100,12 +97,15 @@ main(int argc, char **argv)
         flags.getInt("threads") > 0
             ? static_cast<int>(flags.getInt("threads"))
             : static_cast<int>(hardware ? hardware : 1);
+    // Repetitions per timed path: the ledger's median-plus-range record.
+    constexpr int kReps = 5;
 
     util::printBanner(std::cout,
                       "micro_ceer: prediction-path throughput (" +
                           model_name + ", " + std::to_string(iters) +
                           " rounds)");
-    std::cout << "hardware threads: " << hardware << "\n";
+    const std::string host = bench::hostDescription();
+    std::cout << "host: " << host << "\n";
 
     profile::CollectOptions collect;
     collect.iterations = static_cast<int>(flags.getInt("train-iters"));
@@ -115,74 +115,42 @@ main(int argc, char **argv)
 
     // Every (GPU, k) candidate of one workload — the shape of a
     // recommender query.
-    std::vector<core::PredictRequest> requests;
+    std::vector<std::pair<hw::GpuModel, int>> candidates_per_round;
     for (hw::GpuModel gpu : hw::allGpuModels())
         for (int k : {1, 2, 4, 8})
-            requests.push_back({gpu, k});
+            candidates_per_round.emplace_back(gpu, k);
 
-    // --- Scalar node walk vs compiled plan. ---
-    double scalar_checksum = 0.0;
-    const auto scalar_start = Clock::now();
-    for (int i = 0; i < iters; ++i)
-        for (const core::PredictRequest &request : requests)
-            scalar_checksum += predictor.predictIterationUs(
-                g, request.gpu, request.numGpus);
-    const double scalar_wall =
-        std::chrono::duration<double>(Clock::now() - scalar_start)
-            .count();
-
-    const auto compile_start = Clock::now();
+    // --- compile() and plan evaluation, K repetitions each. ---
+    const bench::RepeatedTiming compile_time = bench::timeRepeated(
+        kReps, [&] { predictor.compile(g); });
     const core::PredictPlan plan = predictor.compile(g);
-    const double compile_wall =
-        std::chrono::duration<double>(Clock::now() - compile_start)
-            .count();
-
-    double compiled_checksum = 0.0;
-    const auto compiled_start = Clock::now();
-    for (int i = 0; i < iters; ++i) {
-        for (double us : predictor.predictBatch(plan, requests))
-            compiled_checksum += us;
-    }
-    const double compiled_wall =
-        std::chrono::duration<double>(Clock::now() - compiled_start)
-            .count();
-
-    // Bit-identity of every candidate (the checksums above only keep
-    // the loops from being optimized away — equality of sums would
-    // not prove per-candidate equality).
-    bool predict_identical = true;
-    const std::vector<double> batch =
-        predictor.predictBatch(plan, requests);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        const double scalar = predictor.predictIterationUs(
-            g, requests[i].gpu, requests[i].numGpus);
-        if (bits(scalar) != bits(batch[i])) {
-            predict_identical = false;
-            std::cerr << "FAIL: candidate " << i
-                      << " compiled prediction differs from the "
-                         "node walk\n";
-        }
-    }
-
-    const double rounds_per_sec_scalar = iters / scalar_wall;
-    const double rounds_per_sec_compiled = iters / compiled_wall;
-    const double predict_speedup = scalar_wall / compiled_wall;
+    double checksum = 0.0;
+    const bench::RepeatedTiming evaluate_time =
+        bench::timeRepeated(kReps, [&] {
+            for (int i = 0; i < iters; ++i)
+                for (const auto &[gpu, k] : candidates_per_round)
+                    checksum += predictor.predictIterationUs(plan, gpu, k);
+        });
+    const double evaluate_ns = evaluate_time.medianUs * 1e3 /
+                               (static_cast<double>(iters) *
+                                candidates_per_round.size());
 
     util::TablePrinter predict_table(
-        {"predictor", "wall (s)", "rounds/sec", "speedup"});
-    predict_table.addRow({"scalar node walk",
-                          util::format("%.3f", scalar_wall),
-                          util::format("%.1f", rounds_per_sec_scalar),
-                          "1.00x"});
-    predict_table.addRow({"compiled plan",
-                          util::format("%.3f", compiled_wall),
-                          util::format("%.1f", rounds_per_sec_compiled),
-                          util::format("%.2fx", predict_speedup)});
+        {"path", "median (us)", "min-max (us)"});
+    predict_table.addRow(
+        {"compile", util::format("%.1f", compile_time.medianUs),
+         util::format("%.1f-%.1f", compile_time.minUs,
+                      compile_time.maxUs)});
+    predict_table.addRow(
+        {util::format("evaluate x%d rounds", iters),
+         util::format("%.1f", evaluate_time.medianUs),
+         util::format("%.1f-%.1f", evaluate_time.minUs,
+                      evaluate_time.maxUs)});
     predict_table.print(std::cout);
     std::cout << util::format(
-        "compile() cost: %.1f us (amortized over %d rounds); "
-        "checksums: scalar %.6e, compiled %.6e\n",
-        compile_wall * 1e6, iters, scalar_checksum, compiled_checksum);
+        "%zu nodes, %zu heavy groups; %.2f ns per candidate "
+        "evaluation (median); checksum %.6e\n",
+        plan.nodeCount(), plan.groupCount(), evaluate_ns, checksum);
 
     // --- Recommender sweep: serial vs parallel over a big catalog. ---
     // The real AWS catalog has 16 candidates — too few for a thread
@@ -277,22 +245,27 @@ main(int argc, char **argv)
                      "skipped (identity still enforced)\n";
     }
 
-    const bool all_identical = predict_identical && sweep_identical;
     int below_serial = 0;
     for (const Result &r : results)
         below_serial += r.belowSerial ? 1 : 0;
     bench::JsonObject doc;
     doc.str("benchmark", "prediction_path_throughput")
         .str("model", model_name)
+        .str("host", host)
         .num("rounds", iters)
         .num("candidates_per_round",
-             static_cast<std::int64_t>(requests.size()));
+             static_cast<std::int64_t>(candidates_per_round.size()));
     bench::addScalingFields(doc, hardware, scaling_meaningful);
-    doc.num("scalar_rounds_per_sec", rounds_per_sec_scalar, "%.1f")
-        .num("compiled_rounds_per_sec", rounds_per_sec_compiled, "%.1f")
-        .num("compile_us", compile_wall * 1e6, "%.1f")
-        .num("predict_speedup", predict_speedup, "%.4f")
-        .boolean("predict_identity_ok", predict_identical)
+    bench::JsonObject compile_row, evaluate_row;
+    compile_row.str("path", "compile");
+    bench::addTiming(compile_row, compile_time);
+    evaluate_row.str("path", "evaluate").num("rounds", iters);
+    bench::addTiming(evaluate_row, evaluate_time);
+    std::vector<bench::JsonObject> timings;
+    timings.push_back(std::move(compile_row));
+    timings.push_back(std::move(evaluate_row));
+    doc.array("timings", std::move(timings))
+        .num("evaluate_ns_per_candidate", evaluate_ns, "%.2f")
         .num("recommender_candidates",
              static_cast<std::int64_t>(candidates.size()))
         .boolean("recommender_identity_ok", sweep_identical)
@@ -311,5 +284,5 @@ main(int argc, char **argv)
     if (!bench::writeBenchJson(flags.getString("out"), doc))
         return 1;
     bench::flushBenchMetrics();
-    return all_identical ? 0 : 1;
+    return sweep_identical ? 0 : 1;
 }

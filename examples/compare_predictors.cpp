@@ -55,6 +55,7 @@ main(int argc, char **argv)
     int points = 0;
     for (const std::string &name : models::testSetNames()) {
         const graph::Graph g = models::buildModel(name, batch);
+        const core::PredictPlan plan = predictor.compile(g);
         for (hw::GpuModel gpu : hw::allGpuModels()) {
             sim::SimConfig config;
             config.gpu = gpu;
@@ -65,10 +66,10 @@ main(int argc, char **argv)
                 simulator.run(options.iterations).iterationUs.mean();
 
             const double predictions[4] = {
-                predictor.predictIterationUs(g, gpu, k),
+                predictor.predictIterationUs(plan, gpu, k),
                 predictor.predictIterationUs(
-                    g, gpu, k, {.includeLightAndCpu = false}),
-                predictor.predictIterationUs(g, gpu, k,
+                    plan, gpu, k, {.includeLightAndCpu = false}),
+                predictor.predictIterationUs(plan, gpu, k,
                                              {.includeComm = false}),
                 paleo->predictIterationUs(g, gpu, k),
             };

@@ -38,9 +38,9 @@ engineFatal(const std::string &engine, const std::string &message)
 /**
  * The three Ceer-backed engines: the full model and its two paper
  * ablations, differing only in PredictOptions. Compiled plans are
- * memoized per graph address under a mutex so grid sweeps pay one
- * compile per (engine, graph); the plan's own per-GPU memo handles
- * concurrent first-touch (see core/predict_plan.h).
+ * cached per graph address under a mutex so grid sweeps pay one
+ * compile per (engine, graph); a compiled plan is immutable, so
+ * concurrent evaluations need no further locking.
  */
 class CeerVariantPredictor final : public Predictor
 {

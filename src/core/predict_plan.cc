@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <vector>
 
 #include "core/predictor.h"
 #include "obs/metrics.h"
@@ -11,7 +12,7 @@
 // The evaluation kernel is multiversioned via the shared macro; this
 // TU is compiled with -ffp-contract=off (see CMakeLists.txt) so no
 // clone fuses multiply-add into FMA and every clone returns the same
-// bits as the scalar node walk.
+// bits as summing OpTimeModel::predictUs node by node.
 #include "util/target_clones.h"
 
 namespace ceer {
@@ -59,39 +60,9 @@ double
 PredictPlan::heavyUs(hw::GpuModel gpu) const
 {
     const std::size_t slot = static_cast<std::size_t>(gpu);
-    Memo &memo = *memo_;
-    if (slot >= memo.ready.size())
+    if (slot >= heavyUs_.size())
         util::panic("PredictPlan::heavyUs: unknown GPU slot");
-    if (memo.ready[slot].load(std::memory_order_acquire)) {
-        OBS_COUNTER_INC("predictor.memo_hits");
-        return memo.value[slot];
-    }
-
-    std::lock_guard<std::mutex> lock(memo.mutex);
-    if (memo.ready[slot].load(std::memory_order_relaxed)) {
-        OBS_COUNTER_INC("predictor.memo_hits");
-        return memo.value[slot];
-    }
-
-    double heavy = 0.0;
-    for (const OpGroup &group : groups_) {
-        const GpuRecipe &recipe = group.recipes[slot];
-        if (recipe.viaModel) {
-            const double *matrix = recipe.quadratic
-                                       ? group.quadFeatures.data()
-                                       : group.features.data();
-            heavy += plan_kernel::dotClampSum(
-                matrix, group.rows, recipe.weights.size(),
-                recipe.weights.data(), recipe.scales.data(),
-                recipe.intercept);
-        } else {
-            heavy += static_cast<double>(group.rows) * recipe.flatUs;
-        }
-    }
-    memo.value[slot] = heavy;
-    memo.ready[slot].store(true, std::memory_order_release);
-    OBS_COUNTER_INC("predictor.memo_fills");
-    return heavy;
+    return heavyUs_[slot];
 }
 
 double
@@ -110,22 +81,10 @@ std::size_t
 PredictPlan::approxBytes() const
 {
     std::size_t bytes = sizeof *this;
-    for (const OpGroup &group : groups_) {
-        bytes += sizeof group;
-        bytes += (group.features.capacity() +
-                  group.quadFeatures.capacity()) *
-                 sizeof(double);
-        for (const GpuRecipe &recipe : group.recipes) {
-            bytes += sizeof recipe;
-            bytes += (recipe.weights.capacity() +
-                      recipe.scales.capacity()) *
-                     sizeof(double);
-        }
-    }
-    if (memo_)
-        bytes += sizeof(Memo) +
-                 memo_->ready.capacity() * sizeof(std::atomic<bool>) +
-                 memo_->value.capacity() * sizeof(double);
+    bytes += groups_.capacity() * sizeof(OpGroup);
+    for (const OpGroup &group : groups_)
+        bytes += group.us.capacity() * sizeof(double);
+    bytes += heavyUs_.capacity() * sizeof(double);
     return bytes;
 }
 
@@ -146,8 +105,9 @@ CeerPredictor::compile(const graph::Graph &g) const
                              static_cast<std::size_t>(gpu) + 1);
 
     // One walk: classify every node once; heavy instances append a
-    // feature row to their op type's group (groups in first-appearance
+    // feature row to their op type's matrix (groups in first-appearance
     // order, rows in graph order — the accumulation order contract).
+    std::vector<std::vector<double>> features;
     for (const graph::Node &node : g.nodes()) {
         switch (model_.classify(node.type)) {
           case OpClass::Cpu:
@@ -157,71 +117,69 @@ CeerPredictor::compile(const graph::Graph &g) const
             ++plan.lightCount_;
             break;
           case OpClass::Heavy: {
-            PredictPlan::OpGroup *group = nullptr;
-            for (PredictPlan::OpGroup &candidate : plan.groups_) {
-                if (candidate.op == node.type) {
-                    group = &candidate;
-                    break;
-                }
-            }
-            if (!group) {
+            std::size_t index = 0;
+            while (index < plan.groups_.size() &&
+                   plan.groups_[index].op != node.type)
+                ++index;
+            if (index == plan.groups_.size()) {
                 plan.groups_.emplace_back();
-                group = &plan.groups_.back();
-                group->op = node.type;
+                plan.groups_.back().op = node.type;
+                features.emplace_back();
             }
-            const std::vector<double> features =
-                profile::opFeatures(node);
-            group->features.insert(group->features.end(),
-                                   features.begin(), features.end());
-            ++group->rows;
+            const std::vector<double> row = profile::opFeatures(node);
+            features[index].insert(features[index].end(), row.begin(),
+                                   row.end());
             ++plan.heavyCount_;
             break;
           }
         }
     }
 
-    // Per-GPU evaluation recipes: snapshot the fitted model in the
-    // scaled space predict() actually computes in, or record the flat
-    // per-node fallback (unusable fit -> clamped median; never
-    // profiled on this GPU -> the paper's light-median rule). The
-    // quadratic expansion is materialized lazily in the sense that it
-    // exists only when some GPU's fitted model selected it.
-    for (PredictPlan::OpGroup &group : plan.groups_) {
-        group.recipes.resize(gpu_slots);
-        bool any_quadratic = false;
+    // Every GPU's group sums: the dense kernel over the fitted model's
+    // scaled space, or the flat per-node fallback (unusable fit ->
+    // clamped median; never profiled on this GPU -> the paper's
+    // light-median rule for unseen operations). The quadratic
+    // expansion is built only when some GPU's fit selected it.
+    const std::size_t d = profile::kNumOpFeatures;
+    std::vector<double> quad;
+    for (std::size_t index = 0; index < plan.groups_.size(); ++index) {
+        PredictPlan::OpGroup &group = plan.groups_[index];
+        const std::vector<double> &raw = features[index];
+        const std::size_t rows = raw.size() / d;
+        group.us.assign(gpu_slots, 0.0);
+        quad.clear();
         for (hw::GpuModel gpu : hw::allGpuModels()) {
-            PredictPlan::GpuRecipe &recipe =
-                group.recipes[static_cast<std::size_t>(gpu)];
             const OpTimeModel *op_model = model_.opModel(gpu, group.op);
+            double &us = group.us[static_cast<std::size_t>(gpu)];
             if (!op_model) {
-                recipe.flatUs = model_.lightMedianUs;
+                us = static_cast<double>(rows) * model_.lightMedianUs;
             } else if (!op_model->usable) {
-                recipe.flatUs = std::max(op_model->medianUs, 1.0);
+                us = static_cast<double>(rows) *
+                     std::max(op_model->medianUs, 1.0);
             } else {
-                recipe.viaModel = true;
-                recipe.quadratic = op_model->quadratic;
-                recipe.weights = op_model->model.scaledWeights();
-                recipe.scales = op_model->model.scales();
-                recipe.intercept = op_model->model.intercept();
-                any_quadratic |= op_model->quadratic;
-            }
-        }
-        if (any_quadratic) {
-            const std::size_t d = profile::kNumOpFeatures;
-            group.quadFeatures.reserve(group.rows * 2 * d);
-            for (std::size_t row = 0; row < group.rows; ++row) {
-                const double *raw = group.features.data() + row * d;
-                for (std::size_t j = 0; j < d; ++j)
-                    group.quadFeatures.push_back(raw[j]);
-                for (std::size_t j = 0; j < d; ++j)
-                    group.quadFeatures.push_back(raw[j] * raw[j]);
+                if (op_model->quadratic && quad.empty()) {
+                    quad.reserve(rows * 2 * d);
+                    for (std::size_t row = 0; row < rows; ++row) {
+                        const double *x = raw.data() + row * d;
+                        quad.insert(quad.end(), x, x + d);
+                        for (std::size_t j = 0; j < d; ++j)
+                            quad.push_back(x[j] * x[j]);
+                    }
+                }
+                const LinearModel &fit = op_model->model;
+                us = plan_kernel::dotClampSum(
+                    op_model->quadratic ? quad.data() : raw.data(), rows,
+                    fit.scaledWeights().size(),
+                    fit.scaledWeights().data(), fit.scales().data(),
+                    fit.intercept());
             }
         }
     }
-
-    plan.memo_ = std::make_unique<PredictPlan::Memo>();
-    plan.memo_->ready = std::vector<std::atomic<bool>>(gpu_slots);
-    plan.memo_->value.assign(gpu_slots, 0.0);
+    // Per-GPU totals, added in group order.
+    plan.heavyUs_.assign(gpu_slots, 0.0);
+    for (const PredictPlan::OpGroup &group : plan.groups_)
+        for (std::size_t slot = 0; slot < gpu_slots; ++slot)
+            plan.heavyUs_[slot] += group.us[slot];
     return plan;
 }
 

@@ -1,45 +1,39 @@
 /**
  * @file
- * Compiled prediction plans: the one-time workload featurization half
- * of the predictor's compile -> evaluate split.
+ * Compiled prediction plans: the one-time workload half of the
+ * predictor's compile -> evaluate split.
  *
- * Eq. 2 is additive over graph operations, so nothing about a CNN's
- * contribution to a prediction depends on the candidate (GPU, k)
- * being scored — yet the scalar path re-walks the graph, re-classifies
- * every node and re-extracts features per call. CeerPredictor::compile
- * walks the graph exactly once and produces a PredictPlan:
+ * Eq. 2 is a sum over graph operations, so nothing about a CNN's
+ * terms depends on the candidate (GPU, k) being scored.
+ * CeerPredictor::compile walks the graph exactly once, gathers each
+ * heavy op type's instances into a dense row-major feature matrix
+ * (plus its quadratic expansion when some GPU's fit is quadratic), and
+ * evaluates every GPU's heavy term right there: one dense
+ * matrix-vector product per (op type, GPU) with the per-node
+ * max(., 1.0) clamp applied lane-wise in a vectorized kernel. The
+ * matrices are then dropped; the plan keeps only
  *
- *  - per heavy op type, a dense row-major feature matrix (one row per
- *    node instance, profile::kNumOpFeatures columns) plus the
- *    quadratically-expanded matrix, materialized only when some
- *    (GPU, op) model actually selected the quadratic fit;
- *  - the evaluation recipe per GPU (scaled-space weights/scales/
- *    intercept snapshot, or the flat per-node fallback);
- *  - light / CPU op counts and the cached parameter count.
+ *  - the per-(op type, GPU) heavy sums and a per-GPU total, summed in
+ *    op-type first-appearance order;
+ *  - light / CPU op counts, the snapshotted medians and the cached
+ *    parameter count.
  *
- * predictIterationUs(plan, gpu, k) then reduces to one dense
- * matrix-vector product per heavy op type with the per-node
- * max(., 1.0) clamp applied lane-wise in a vectorized kernel — and a
- * per-(plan, GPU) memo caches that heavy sum, so scoring the same GPU
- * at another k recomputes only the communication-overhead term.
+ * predictIterationUs(plan, gpu, k) then reads the heavy total and adds
+ * the light, CPU and communication terms; only the last depends on k.
  *
- * Determinism contract: evaluating a plan is bit-identical to the
- * scalar node walk (predictIterationUs(graph, ...)) for every graph,
- * GPU and k — the kernel replays LinearModel::predict's exact
- * operation sequence per lane and both paths accumulate in the same
- * grouped order (pinned by PredictorTest.CompiledPlanMatchesNodeWalk*).
- * Plans are immutable after compile() apart from the memo, whose
- * lazy fill is thread-safe (double-checked atomics + mutex), so one
- * plan may be evaluated from many threads concurrently.
+ * Determinism contract: every group sum is the left-to-right sum of
+ * its nodes' clamped OpTimeModel::predictUs estimates in graph order
+ * (the kernel replays LinearModel::predict's exact operation sequence
+ * per lane), and the heavy total adds the groups in first-appearance
+ * order — pinned bit for bit against a reference node walk by
+ * PredictPlanTest.MatchesScalarWalkBitForBit. A plan is immutable
+ * after compile(), so one plan may be evaluated from many threads.
  */
 
 #ifndef CEER_CORE_PREDICT_PLAN_H
 #define CEER_CORE_PREDICT_PLAN_H
 
-#include <atomic>
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "graph/op_type.h"
@@ -52,17 +46,14 @@ class CeerPredictor;
 
 /**
  * A graph compiled against one predictor's model. Obtain via
- * CeerPredictor::compile(); evaluate via the plan overloads of
- * predictIterationUs / predictTraining / predictBatch on the SAME
- * predictor (the plan snapshots the op models, but the communication
- * model is read from the live predictor at evaluation time).
+ * CeerPredictor::compile(); evaluate via the plan-taking members of
+ * the SAME predictor (the plan snapshots the op models, but the
+ * communication model is read from the live predictor at evaluation
+ * time).
  */
 class PredictPlan
 {
   public:
-    PredictPlan(PredictPlan &&) = default;
-    PredictPlan &operator=(PredictPlan &&) = default;
-
     /** Number of nodes in the compiled graph. */
     std::size_t nodeCount() const { return nodeCount_; }
 
@@ -82,9 +73,8 @@ class PredictPlan
     double paramCount() const { return paramCount_; }
 
     /**
-     * Memoized heavy-term sum for @p gpu: the sum over all heavy nodes
-     * of their clamped regression estimates, computed by the
-     * vectorized kernel on first use and cached. Thread-safe.
+     * Heavy-term sum for @p gpu: the sum over all heavy nodes of their
+     * clamped regression estimates, computed at compile().
      */
     double heavyUs(hw::GpuModel gpu) const;
 
@@ -95,9 +85,8 @@ class PredictPlan
     double cpuUs() const;
 
     /**
-     * Approximate resident size in bytes (feature matrices, recipes,
-     * memo). Used for cache accounting — an estimate, not an exact
-     * heap measurement.
+     * Approximate resident size in bytes (the per-GPU sums). Used for
+     * cache accounting — an estimate, not an exact heap measurement.
      */
     std::size_t approxBytes() const;
 
@@ -105,44 +94,18 @@ class PredictPlan
     friend class CeerPredictor;
     PredictPlan() = default;
 
-    /** How one heavy op-type group is evaluated on one GPU. */
-    struct GpuRecipe
-    {
-        /** True: dense matvec over the group's matrix. False: every
-         *  node contributes flatUs (unusable-model clamped median, or
-         *  the light-median fallback for never-profiled ops). */
-        bool viaModel = false;
-        bool quadratic = false;       ///< Use the expanded matrix.
-        std::vector<double> weights;  ///< Scaled-space weights.
-        std::vector<double> scales;   ///< Per-feature divisors.
-        double intercept = 0.0;
-        double flatUs = 0.0;
-    };
-
-    /** All instances of one heavy op type, in graph order. */
+    /** All instances of one heavy op type. */
     struct OpGroup
     {
         graph::OpType op = graph::OpType::Identity;
-        std::size_t rows = 0;
-        /** Row-major rows x kNumOpFeatures raw feature matrix. */
-        std::vector<double> features;
-        /** Row-major rows x 2*kNumOpFeatures quadratic expansion;
-         *  empty unless some GPU's fitted model is quadratic. */
-        std::vector<double> quadFeatures;
-        /** Indexed by static_cast<std::size_t>(hw::GpuModel). */
-        std::vector<GpuRecipe> recipes;
-    };
-
-    /** Lazily-filled per-GPU heavy-sum cache. Lives behind a
-     *  unique_ptr so the plan stays movable. */
-    struct Memo
-    {
-        std::mutex mutex;
-        std::vector<std::atomic<bool>> ready;
-        std::vector<double> value;
+        /** Sum of the group's clamped estimates, indexed by
+         *  static_cast<std::size_t>(hw::GpuModel). */
+        std::vector<double> us;
     };
 
     std::vector<OpGroup> groups_;
+    /** Per-GPU sum of groups_[*].us in group order. */
+    std::vector<double> heavyUs_;
     std::size_t nodeCount_ = 0;
     std::size_t heavyCount_ = 0;
     std::size_t lightCount_ = 0;
@@ -150,7 +113,6 @@ class PredictPlan
     double lightMedianUs_ = 0.0;
     double cpuMedianUs_ = 0.0;
     double paramCount_ = 0.0;
-    std::unique_ptr<Memo> memo_;
 };
 
 namespace plan_kernel {
@@ -164,8 +126,8 @@ namespace plan_kernel {
  * and returns the left-to-right sum over rows. The per-lane operation
  * sequence is exactly LinearModel::predict followed by OpTimeModel's
  * clamp, and the translation unit is compiled with -ffp-contract=off,
- * so the result is bit-identical to the scalar per-node walk on every
- * clone the runtime dispatches to.
+ * so the result is bit-identical to summing OpTimeModel::predictUs
+ * per node on every clone the runtime dispatches to.
  */
 double dotClampSum(const double *x, std::size_t n, std::size_t d,
                    const double *w, const double *s, double intercept);

@@ -82,13 +82,6 @@ TrainingPrediction makeTrainingPrediction(double iteration_us,
                                           std::int64_t dataset_samples,
                                           std::int64_t batch_per_gpu);
 
-/** One (GPU, k) candidate of a predictBatch call. */
-struct PredictRequest
-{
-    hw::GpuModel gpu = hw::GpuModel::V100; ///< GPU model.
-    int numGpus = 1;                       ///< Data-parallel width k.
-};
-
 /** Applies a trained CeerModel to unseen CNNs. */
 class CeerPredictor
 {
@@ -100,32 +93,38 @@ class CeerPredictor
     const CeerModel &model() const { return model_; }
 
     /**
-     * Predicted compute time of a single op instance on @p gpu.
-     * Heavy ops with no trained model fall back to the light median
-     * (the paper's rule for unseen operations, Sec. IV-D).
+     * Compiles @p g against this predictor's model: one graph walk
+     * computes every GPU's heavy term (see predict_plan.h), so the
+     * members below only add the light, CPU and communication terms.
+     * The plan is only meaningful with the predictor that compiled it.
      */
-    double predictOpUs(const graph::Node &node, hw::GpuModel gpu) const;
+    PredictPlan compile(const graph::Graph &g) const;
 
     /**
-     * Predicted per-iteration training time (Eq. 2), via the scalar
-     * node walk: one classification per node, heavy terms grouped per
-     * op type. For repeated evaluations of one graph, compile() a
-     * PredictPlan instead — bit-identical and orders of magnitude
-     * faster.
+     * Predicted per-iteration training time (Eq. 2).
      *
-     * @param g        Training graph at the per-GPU batch size.
+     * @param plan     compile() of the training graph at the per-GPU
+     *                 batch size.
      * @param gpu      GPU model.
      * @param num_gpus Data-parallel width k.
      * @param options  Ablation switches.
      */
-    double predictIterationUs(const graph::Graph &g, hw::GpuModel gpu,
+    double predictIterationUs(const PredictPlan &plan, hw::GpuModel gpu,
                               int num_gpus,
                               const PredictOptions &options = {}) const;
 
     /**
+     * Attributes a per-iteration prediction to heavy ops (per type),
+     * light ops, CPU ops and communication. totalUs() is bit-equal to
+     * predictIterationUs(plan, gpu, num_gpus) with default options.
+     */
+    PredictionBreakdown breakdown(const PredictPlan &plan,
+                                  hw::GpuModel gpu, int num_gpus) const;
+
+    /**
      * Predicted full-training time (Eq. 2 scaled by D / (k * B)).
      *
-     * @param g               Training graph at the per-GPU batch.
+     * @param plan            compile() of the training graph.
      * @param gpu             GPU model.
      * @param num_gpus        Data-parallel width.
      * @param dataset_samples Dataset size D.
@@ -133,68 +132,18 @@ class CeerPredictor
      * @param options         Ablation switches.
      */
     TrainingPrediction
-    predictTraining(const graph::Graph &g, hw::GpuModel gpu,
-                    int num_gpus, std::int64_t dataset_samples,
-                    std::int64_t batch_per_gpu,
-                    const PredictOptions &options = {}) const;
-
-    /**
-     * Attributes a per-iteration prediction to heavy ops (per type),
-     * light ops, CPU ops and communication. The breakdown's total
-     * equals predictIterationUs with default options.
-     */
-    PredictionBreakdown breakdown(const graph::Graph &g,
-                                  hw::GpuModel gpu, int num_gpus) const;
-
-    /** Convenience: predictTraining for a catalog instance. */
-    TrainingPrediction
-    predictTraining(const graph::Graph &g,
-                    const cloud::GpuInstance &instance,
-                    std::int64_t dataset_samples,
-                    std::int64_t batch_per_gpu,
-                    const PredictOptions &options = {}) const;
-
-    /**
-     * Compiles @p g against this predictor's model: one graph walk
-     * produces a PredictPlan (dense per-op-type feature matrices,
-     * per-GPU evaluation recipes, cached counts) that the plan
-     * overloads below evaluate in a handful of dense matrix-vector
-     * products. Bit-identical to the scalar node walk; see
-     * predict_plan.h for the determinism contract. The plan is only
-     * meaningful with the predictor that compiled it.
-     */
-    PredictPlan compile(const graph::Graph &g) const;
-
-    /** Plan overload of predictIterationUs (Eq. 2, memoized). */
-    double predictIterationUs(const PredictPlan &plan, hw::GpuModel gpu,
-                              int num_gpus,
-                              const PredictOptions &options = {}) const;
-
-    /** Plan overload of predictTraining. */
-    TrainingPrediction
     predictTraining(const PredictPlan &plan, hw::GpuModel gpu,
                     int num_gpus, std::int64_t dataset_samples,
                     std::int64_t batch_per_gpu,
                     const PredictOptions &options = {}) const;
 
-    /** Plan overload of predictTraining for a catalog instance. */
+    /** Convenience: predictTraining for a catalog instance. */
     TrainingPrediction
     predictTraining(const PredictPlan &plan,
                     const cloud::GpuInstance &instance,
                     std::int64_t dataset_samples,
                     std::int64_t batch_per_gpu,
                     const PredictOptions &options = {}) const;
-
-    /**
-     * Evaluates every (GPU, k) candidate against one compiled plan.
-     * Element i is predictIterationUs(plan, requests[i], ...); across
-     * requests that share a GPU only the communication term is
-     * recomputed (the heavy term is memoized per GPU in the plan).
-     */
-    std::vector<double>
-    predictBatch(const PredictPlan &plan,
-                 const std::vector<PredictRequest> &requests,
-                 const PredictOptions &options = {}) const;
 
   private:
     CeerModel model_;

@@ -88,9 +88,9 @@ struct CandidateEvaluation
  * enum value. A pure function of the graph (the per-GPU batch and
  * replica footprint are identical at any instance size), so
  * long-lived callers compute it once per graph — the full-graph
- * memory walk is the recommender's only O(nodes) step once a plan's
- * heavy term is memoized, and recomputing it per query dominated
- * ceerd's request cost on deep models.
+ * memory walk is the recommender's only O(nodes) step once a plan is
+ * compiled, and recomputing it per query dominated ceerd's request
+ * cost on deep models.
  */
 using MemoryFitTable = std::array<bool, 16>;
 

@@ -78,7 +78,7 @@ Server::Server(core::CeerModel model, cloud::InstanceCatalog catalog,
     : options_(std::move(options)),
       candidates_(catalog.instances()),
       engine_(std::make_shared<const Engine>(std::move(model), 1)),
-      planCache_(options_.planCacheCapacity, options_.planCacheShards)
+      planCache_(options_.planCacheCapacity)
 {
 }
 
@@ -588,26 +588,6 @@ Server::handleRequest(Reactor &reactor, Session &session,
                 auto plan =
                     std::make_shared<const core::PredictPlan>(
                         engine->predictor.compile(*fresh.graph));
-                // Coalesced warm-up: evaluate every distinct (GPU, k)
-                // cell of the catalog through one predictBatch call,
-                // so the sweep below (and every request sharing this
-                // plan) hits only the memo.
-                std::vector<core::PredictRequest> warm;
-                for (const cloud::GpuInstance &instance :
-                     candidates_) {
-                    bool seen = false;
-                    for (const core::PredictRequest &w : warm) {
-                        if (w.gpu == instance.gpu &&
-                            w.numGpus == instance.numGpus) {
-                            seen = true;
-                            break;
-                        }
-                    }
-                    if (!seen)
-                        warm.push_back(core::PredictRequest{
-                            instance.gpu, instance.numGpus});
-                }
-                engine->predictor.predictBatch(*plan, warm);
                 // The memory-fit walk is the recommender's only
                 // O(nodes) per-query step; bake the verdicts into the
                 // entry so warm sweeps skip it.

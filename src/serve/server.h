@@ -105,9 +105,6 @@ struct ServerOptions
 
     /** Shared plan cache: total entry cap across shards. */
     std::size_t planCacheCapacity = 256;
-
-    /** Shared plan cache: shard count (rounded up to a power of 2). */
-    std::size_t planCacheShards = 8;
 };
 
 /** A persistent recommendation server over the ceerd protocol. */

@@ -88,6 +88,7 @@ TEST(AblationOptionsTest, TogglesMatchTheirNames)
         {"ceer_heavy_only", {.includeLightAndCpu = false}},
         {"ceer_no_comm", {.includeComm = false}},
     };
+    const core::PredictPlan plan = ceer.compile(g);
     std::vector<double> predictions;
     for (const auto &c : cases) {
         const std::unique_ptr<Predictor> engine = makePredictor(c.name);
@@ -95,7 +96,7 @@ TEST(AblationOptionsTest, TogglesMatchTheirNames)
         predictions.push_back(
             engine->predictIterationUs(g, GpuModel::V100, 2));
         EXPECT_DOUBLE_EQ(predictions.back(),
-                         ceer.predictIterationUs(g, GpuModel::V100, 2,
+                         ceer.predictIterationUs(plan, GpuModel::V100, 2,
                                                  c.options))
             << c.name;
     }

@@ -84,7 +84,8 @@ pass_bench_smoke() {
     ./build/bench/micro_sim --iters 50 --out ''
     ./build/bench/micro_profile --iters 5 --out ''
     # micro_ceer's nonzero exit asserts the serial==parallel
-    # recommender identity and the plan-vs-node-walk bit identity.
+    # recommender identity (plan-vs-reference-walk bit identity is
+    # pinned by PredictPlanTest.MatchesScalarWalkBitForBit in ctest).
     ./build/bench/micro_ceer --iters 50 --train-iters 10 \
         --catalog-copies 8 --out ''
     # micro_obs doubles as a smoke test of the --metrics-out plumbing.
@@ -202,14 +203,15 @@ pass_tsan() {
     # fan-out across the thread pool with deterministic merge.
     ./build-tsan/tests/sim_test \
         --gtest_filter='SimulatorTest.ParallelRunIsByteIdenticalToSerial:SimulatorTest.RunIsByteIdenticalWithObservabilityOn'
-    # The parallel recommender sweep (shared PredictPlan memo under
-    # concurrent first-touch) and the parallel trainer fits under
-    # TSan, with and without observability.
+    # The parallel recommender sweep (one immutable PredictPlan read
+    # by every worker) and the parallel trainer fits under TSan, with
+    # and without observability.
     ./build-tsan/tests/predict_plan_test \
         --gtest_filter='ParallelRecommenderTest.*:ParallelTrainerTest.*:SerialAndParallel/*'
     # The cross-predictor evaluation sweep under TSan: every engine
-    # predicting concurrently (the Ceer variants' first-touch plan
-    # memo included) while per-cell simulators run on the pool.
+    # predicting concurrently (the Ceer variants' mutex-guarded
+    # per-graph plan cache included) while per-cell simulators run on
+    # the pool.
     ./build-tsan/tests/baselines_test \
         --gtest_filter='EvalSweepTest.ParallelSweepIsByteIdentical'
     # The full ceerd stack under TSan: the round-robin fd handoff
