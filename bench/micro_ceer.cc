@@ -5,7 +5,10 @@
  * Times CeerPredictor::compile (the one graph walk that computes every
  * GPU's heavy term) and plan evaluation over every (GPU, k) candidate,
  * each as K repetitions reported as median plus range, and the
- * parallel recommender sweep against the serial one. The sweep's
+ * recommender sweep over a synthetic fleet (2,000 instances by
+ * default, the serve_fleet catalog) at each thread count. A sweep
+ * repetition runs enough sweeps into one warm Recommendation to last
+ * --sweep-seconds, and speedups compare medians. The sweep's
  * determinism contract is verified along the way: the Recommendation
  * — winner and full evaluation list — must be byte-identical at every
  * thread count (nonzero exit otherwise). Writes BENCH_ceer.json so
@@ -17,6 +20,7 @@
  * in the JSON rather than reported as a silent regression.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -77,9 +81,11 @@ main(int argc, char **argv)
                     "evaluates every GPU x k candidate)");
     flags.defineInt("train-iters", 30, "profiling iterations for the "
                                        "throwaway training fixture");
-    flags.defineInt("catalog-copies", 64,
-                    "catalog replication factor for the recommender "
-                    "sweep");
+    flags.defineInt("fleet", 2000,
+                    "synthetic fleet size swept by the recommender");
+    flags.defineDouble("sweep-seconds", 1.0,
+                       "minimum wall time of one timed sweep "
+                       "repetition");
     flags.defineInt("threads", 0,
                     "max swept thread count (0 = hardware)");
     flags.defineString("out", "BENCH_ceer.json",
@@ -152,24 +158,42 @@ main(int argc, char **argv)
         "evaluation (median); checksum %.6e\n",
         plan.nodeCount(), plan.groupCount(), evaluate_ns, checksum);
 
-    // --- Recommender sweep: serial vs parallel over a big catalog. ---
-    // The real AWS catalog has 16 candidates — too few for a thread
-    // sweep to mean anything — so replicate it (distinct names, same
-    // silicon/prices). Every copy scores identically and the serial
-    // reduction keeps the first, so replication changes no answer.
-    const cloud::InstanceCatalog base =
-        cloud::InstanceCatalog::awsOnDemand();
-    std::vector<cloud::GpuInstance> candidates;
-    const int copies =
-        static_cast<int>(flags.getInt("catalog-copies"));
-    for (int c = 0; c < copies; ++c) {
-        for (cloud::GpuInstance instance : base.instances()) {
-            if (c > 0)
-                instance.name += "#" + std::to_string(c);
-            candidates.push_back(std::move(instance));
-        }
+    // --- Recommender sweep over a synthetic fleet, per thread count. ---
+    // The ceerd request shape: a compiled plan, cached memory fits and
+    // one warm Recommendation swept again and again.
+    const std::vector<cloud::GpuInstance> candidates =
+        cloud::InstanceCatalog::syntheticFleet(
+            static_cast<std::size_t>(flags.getInt("fleet")), 1)
+            .instances();
+    const core::WorkloadSpec workload{&g, 1'200'000, 32};
+    const core::MemoryFitTable fits = core::computeMemoryFits(g);
+    const core::ObjectiveFn objective =
+        core::objectiveFunction(core::Objective::MinCost);
+    core::Recommendation warm;
+    const auto sweep_once = [&](int threads) {
+        core::recommendInto(predictor, plan, workload, candidates,
+                            objective, core::Constraints{}, threads,
+                            &warm, &fits);
+    };
+
+    // Sweeps per repetition: enough for --sweep-seconds serially, with
+    // a quarter of headroom because batches drift by ±20% on the hosts
+    // measured, so every timed section is long enough to scale (short
+    // bursts do not on virtualized hosts; see docs/performance.md).
+    const double sweep_seconds = flags.getDouble("sweep-seconds");
+    std::int64_t sweeps = 1;
+    double wall = 0.0;
+    while (wall < sweep_seconds / 4) {
+        sweeps *= 2;
+        const auto start = Clock::now();
+        for (std::int64_t i = 0; i < sweeps; ++i)
+            sweep_once(1);
+        wall = std::chrono::duration<double>(Clock::now() - start).count();
     }
-    core::WorkloadSpec workload{&g, 1'200'000, 32};
+    sweeps = std::max<std::int64_t>(
+        1, static_cast<std::int64_t>(static_cast<double>(sweeps) * 1.25 *
+                                     sweep_seconds /
+                                     std::max(wall, 1e-9)));
 
     std::vector<int> sweep{1, 2, 4};
     for (int t = 8; t <= max_threads; t *= 2)
@@ -178,7 +202,8 @@ main(int argc, char **argv)
     struct Result
     {
         int threads;
-        double wallSeconds;
+        bench::RepeatedTiming timing; ///< One repetition = `sweeps`.
+        double nsPerCandidate;
         double speedup;
         bool identical;
         bool belowSerial;
@@ -189,49 +214,44 @@ main(int argc, char **argv)
     const bool scaling_meaningful = hardware >= 2;
     std::vector<Result> results;
     core::Recommendation reference;
-    double serial_wall = 0.0;
     bool sweep_identical = true;
 
     util::TablePrinter sweep_table(
-        {"threads", "wall (s)", "candidates/sec", "speedup",
-         "identical"});
+        {"threads", "median (s)", "min-max (s)", "ns/candidate",
+         "speedup", "identical"});
     for (int threads : sweep) {
-        const auto start = Clock::now();
-        const core::Recommendation recommendation = core::recommend(
-            predictor, workload, candidates, core::Objective::MinCost,
-            core::Constraints{}, threads);
-        const double wall =
-            std::chrono::duration<double>(Clock::now() - start).count();
-        if (threads == 1) {
-            reference = recommendation;
-            serial_wall = wall;
-        }
         Result r;
         r.threads = threads;
-        r.wallSeconds = wall;
-        r.speedup = serial_wall / wall;
-        r.identical =
-            recommendation.bestIndex == reference.bestIndex &&
-            recommendation.evaluations.size() ==
-                reference.evaluations.size();
-        if (r.identical) {
-            for (std::size_t i = 0; i < reference.evaluations.size();
-                 ++i) {
-                if (!evaluationsIdentical(reference.evaluations[i],
-                                          recommendation
-                                              .evaluations[i])) {
-                    r.identical = false;
-                    break;
-                }
-            }
-        }
+        r.timing = bench::timeRepeated(kReps, [&] {
+            for (std::int64_t i = 0; i < sweeps; ++i)
+                sweep_once(threads);
+        });
+        r.nsPerCandidate = r.timing.medianUs * 1e3 /
+                           (static_cast<double>(sweeps) *
+                            static_cast<double>(candidates.size()));
+        if (threads == 1)
+            reference = warm;
+        r.speedup = results.empty()
+                        ? 1.0
+                        : results.front().timing.medianUs /
+                              r.timing.medianUs;
+        r.identical = warm.bestIndex == reference.bestIndex &&
+                      warm.evaluations.size() ==
+                          reference.evaluations.size();
+        for (std::size_t i = 0;
+             r.identical && i < reference.evaluations.size(); ++i)
+            r.identical = evaluationsIdentical(reference.evaluations[i],
+                                               warm.evaluations[i]);
         r.belowSerial =
             scaling_meaningful && threads > 1 && r.speedup < 1.0;
         sweep_identical &= r.identical;
         results.push_back(r);
         sweep_table.addRow(
-            {std::to_string(threads), util::format("%.3f", wall),
-             util::format("%.1f", candidates.size() / wall),
+            {std::to_string(threads),
+             util::format("%.3f", r.timing.medianUs * 1e-6),
+             util::format("%.3f-%.3f", r.timing.minUs * 1e-6,
+                          r.timing.maxUs * 1e-6),
+             util::format("%.2f", r.nsPerCandidate),
              util::format("%.2fx", r.speedup),
              r.identical ? "yes" : "NO"});
         if (!r.identical) {
@@ -239,6 +259,10 @@ main(int argc, char **argv)
                       << " threads differs from the serial sweep\n";
         }
     }
+    std::cout << util::format(
+        "recommender sweep: %zu-instance fleet, %lld sweeps per "
+        "repetition, %d repetitions per thread count\n",
+        candidates.size(), static_cast<long long>(sweeps), kReps);
     sweep_table.print(std::cout);
     if (!scaling_meaningful) {
         std::cout << "note: single hardware thread; scaling assertions "
@@ -268,13 +292,17 @@ main(int argc, char **argv)
         .num("evaluate_ns_per_candidate", evaluate_ns, "%.2f")
         .num("recommender_candidates",
              static_cast<std::int64_t>(candidates.size()))
+        .num("recommender_sweeps_per_rep", sweeps)
+        .num("recommender_ns_per_candidate",
+             results.front().nsPerCandidate, "%.2f")
         .boolean("recommender_identity_ok", sweep_identical)
         .num("below_serial_measurements", below_serial);
     std::vector<bench::JsonObject> rows;
     for (const Result &r : results) {
         bench::JsonObject row;
-        row.num("threads", r.threads)
-            .num("wall_s", r.wallSeconds, "%.6f")
+        row.num("threads", r.threads);
+        bench::addTiming(row, r.timing);
+        row.num("ns_per_candidate", r.nsPerCandidate, "%.2f")
             .num("speedup", r.speedup, "%.4f")
             .boolean("identical", r.identical)
             .boolean("below_serial", r.belowSerial);

@@ -356,7 +356,8 @@ main(int argc, char **argv)
     util::printBanner(std::cout,
                       "micro_serve: ceerd serving path "
                       "(loadgen over loopback TCP)");
-    std::cout << "hardware threads: " << hardware << "\n";
+    const std::string host = bench::hostDescription();
+    std::cout << "host: " << host << "\n";
 
     // A cheap but real model: two CNNs profiled briefly, then the
     // standard trainer. Serving latency does not depend on the fit
@@ -538,7 +539,7 @@ main(int argc, char **argv)
                  "errors\n";
 
     bench::JsonObject doc;
-    doc.str("bench", "micro_serve");
+    doc.str("bench", "micro_serve").str("host", host);
     bench::addScalingFields(doc, hardware, scaling_meaningful);
     doc.num("request_mix_models",
             static_cast<std::int64_t>(mix.size()));

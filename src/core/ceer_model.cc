@@ -42,15 +42,16 @@ CommModel::overheadUs(GpuModel gpu, int num_gpus,
         util::panic("CommModel::overheadUs: no fit for GPU " +
                     hw::gpuModelName(gpu));
     const auto &per_k = it->second;
-    const std::vector<double> x{param_count};
+    // One feature, passed by pointer: no vector per call.
+    const double x[1] = {param_count};
 
-    double total = per_k[0].model.predict(x);
+    double total = per_k[0].model.predict(x, 1);
     if (num_gpus == 1)
         return std::max(total, 0.0);
 
     const std::size_t idx = static_cast<std::size_t>(num_gpus) - 1;
     if (idx < per_k.size() && per_k[idx].valid)
-        return std::max(total + per_k[idx].model.predict(x), 0.0);
+        return std::max(total + per_k[idx].model.predict(x, 1), 0.0);
 
     // Extrapolate D_k linearly in k from the last two trained widths.
     std::size_t last = per_k.size();
@@ -59,10 +60,10 @@ CommModel::overheadUs(GpuModel gpu, int num_gpus,
     if (last < 2)
         util::panic("CommModel::overheadUs: no multi-GPU fits for " +
                     hw::gpuModelName(gpu));
-    const double d_last = per_k[last - 1].model.predict(x);
+    const double d_last = per_k[last - 1].model.predict(x, 1);
     const double d_prev =
         last >= 3 && per_k[last - 2].valid
-            ? per_k[last - 2].model.predict(x)
+            ? per_k[last - 2].model.predict(x, 1)
             : 0.0;
     const double slope = d_last - d_prev;
     const double extra = static_cast<double>(num_gpus) -

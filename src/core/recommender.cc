@@ -70,6 +70,45 @@ recommend(const CeerPredictor &predictor, const PredictPlan &plan,
     return result;
 }
 
+namespace {
+
+/// Widest data-parallel width the class table holds. Instances wider
+/// than this (or with k < 1) take the direct predictTraining call,
+/// panics included.
+constexpr int kClassTableMaxK = 8;
+
+/// GPU slots of the class table: the same bound as MemoryFitTable.
+constexpr std::size_t kClassTableGpus =
+    std::tuple_size<MemoryFitTable>::value;
+
+/// classSlot() of an instance outside the table.
+constexpr std::size_t kNoClassSlot = kClassTableGpus * kClassTableMaxK;
+
+/**
+ * One TrainingPrediction per (GPU, k) class, filled before the
+ * sweep fans out. Fixed-size and stack-resident, so the sweep stays
+ * allocation-free.
+ */
+struct ClassPredictions
+{
+    std::array<TrainingPrediction, kNoClassSlot> predictions;
+    std::array<bool, kNoClassSlot> filled{};
+};
+
+/** @p instance's slot in ClassPredictions, or kNoClassSlot. */
+std::size_t
+classSlot(const cloud::GpuInstance &instance)
+{
+    const std::size_t gpu = static_cast<std::size_t>(instance.gpu);
+    if (gpu >= kClassTableGpus || instance.numGpus < 1 ||
+        instance.numGpus > kClassTableMaxK)
+        return kNoClassSlot;
+    return gpu * kClassTableMaxK +
+           static_cast<std::size_t>(instance.numGpus - 1);
+}
+
+} // namespace
+
 MemoryFitTable
 computeMemoryFits(const graph::Graph &g)
 {
@@ -127,6 +166,22 @@ recommendInto(const CeerPredictor &predictor, const PredictPlan &plan,
     OBS_TIMER("recommender.sweep_us");
     OBS_COUNTER_ADD("recommender.candidates", candidates.size());
 
+    // A prediction depends only on the candidate's (GPU, k) class —
+    // the price enters through the cost alone — and a catalog holds
+    // few classes (a 2,000-instance fleet has at most 32), so each
+    // class is predicted once here, serially, before the fan-out.
+    // Workers only read the filled table.
+    ClassPredictions classes;
+    for (const cloud::GpuInstance &instance : candidates) {
+        const std::size_t slot = classSlot(instance);
+        if (slot != kNoClassSlot && !classes.filled[slot]) {
+            classes.predictions[slot] = predictor.predictTraining(
+                plan, instance, workload.datasetSamples,
+                workload.batchPerGpu);
+            classes.filled[slot] = true;
+        }
+    }
+
     Recommendation &result = *out;
     result.bestIndex = -1;
     result.evaluations.resize(candidates.size());
@@ -137,9 +192,13 @@ recommendInto(const CeerPredictor &predictor, const PredictPlan &plan,
         evaluation.fitsMemory =
             !constraints.enforceGpuMemory ||
             (*fits)[static_cast<std::size_t>(instance.gpu)];
-        evaluation.prediction = predictor.predictTraining(
-            plan, instance, workload.datasetSamples,
-            workload.batchPerGpu);
+        const std::size_t slot = classSlot(instance);
+        evaluation.prediction =
+            slot != kNoClassSlot
+                ? classes.predictions[slot]
+                : predictor.predictTraining(plan, instance,
+                                            workload.datasetSamples,
+                                            workload.batchPerGpu);
         evaluation.costUsd =
             evaluation.prediction.costUsd(instance.hourlyUsd);
         evaluation.withinHourly =
@@ -149,13 +208,13 @@ recommendInto(const CeerPredictor &predictor, const PredictPlan &plan,
             evaluation.costUsd <= constraints.totalBudgetUsd;
     };
 
-    // One candidate scores in well under a microsecond (the plan holds
-    // every GPU's heavy term), so per-candidate tasks would drown in
-    // scheduling overhead. The measured-first-chunk grain controller
-    // coarsens the sweep into contiguous blocks (minGrain keeps the
-    // probe itself above timer noise), and the shared pool's waiting
-    // workers keep the fan-out cost of this sub-millisecond section to
-    // one wake.
+    // One candidate costs a copy and a few compares (~15 ns), so
+    // per-candidate tasks would drown in scheduling overhead. The
+    // measured-first-chunk grain controller coarsens the sweep into
+    // contiguous blocks (minGrain keeps the probe itself above timer
+    // noise). Even so, a 2,000-instance sweep is shorter than a
+    // fan-out's wake-up on the hosts measured (docs/performance.md):
+    // threads > 1 pays off only on much larger catalogs.
     util::parallelForRange(
         candidates.size(),
         {.minGrain = 8,
@@ -165,32 +224,25 @@ recommendInto(const CeerPredictor &predictor, const PredictPlan &plan,
                 evaluate(i);
         });
 
+    // Serial candidate-order reduction; the incumbent's score is kept
+    // rather than recomputed per comparison.
+    double best_score = 0.0;
     for (std::size_t i = 0; i < result.evaluations.size(); ++i) {
         const CandidateEvaluation &candidate = result.evaluations[i];
         if (!candidate.feasible())
             continue;
-        if (result.bestIndex < 0) {
+        const double score =
+            objective(candidate.prediction.hours, candidate.costUsd);
+        if (result.bestIndex < 0 || score < best_score) {
             result.bestIndex = static_cast<int>(i);
-            continue;
+            best_score = score;
         }
-        const CandidateEvaluation &incumbent =
-            result.evaluations[static_cast<std::size_t>(
-                result.bestIndex)];
-        const double candidate_score = objective(
-            candidate.prediction.hours, candidate.costUsd);
-        const double incumbent_score = objective(
-            incumbent.prediction.hours, incumbent.costUsd);
-        if (candidate_score < incumbent_score)
-            result.bestIndex = static_cast<int>(i);
     }
 
     // Winner margin (runner-up score minus winner score among the
     // feasible candidates): a read-only pass taken only while
     // observability is on, so the sweep itself is untouched.
     if (obs::enabled() && result.bestIndex >= 0) {
-        const CandidateEvaluation &best = result.best();
-        const double best_score =
-            objective(best.prediction.hours, best.costUsd);
         double runner_up = 0.0;
         bool have_runner_up = false;
         for (std::size_t i = 0; i < result.evaluations.size(); ++i) {

@@ -111,11 +111,16 @@ struct Recommendation
  * Evaluates every candidate and picks the best feasible one.
  *
  * The workload graph is compiled once (CeerPredictor::compile) and
- * every candidate is scored against the shared plan. With
- * @p threads != 1 the candidate evaluations fan out across a
- * util::ThreadPool; the winner is still selected by a serial
- * candidate-order reduction, so the Recommendation — winner and the
- * full Evaluation list — is byte-identical at any thread count.
+ * every candidate is scored against the shared plan. A prediction is
+ * a pure function of (plan, GPU, k, D, B), so it is computed once per
+ * distinct (GPU, k) class of the catalog, before the fan-out, and
+ * each candidate copies its class's prediction and adds its own cost
+ * and constraint verdicts. With @p threads != 1 the candidate
+ * evaluations fan out across a util::ThreadPool; the winner is still
+ * selected by a serial candidate-order reduction, so the
+ * Recommendation — winner and the full Evaluation list — is
+ * byte-identical at any thread count, and to a per-candidate
+ * predictTraining call.
  *
  * @param predictor   Trained Ceer predictor.
  * @param workload    CNN + dataset to train.

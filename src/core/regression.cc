@@ -99,12 +99,18 @@ LinearModel::fit(const std::vector<std::vector<double>> &X,
 double
 LinearModel::predict(const std::vector<double> &x) const
 {
-    if (x.size() != weights_.size())
+    return predict(x.data(), x.size());
+}
+
+double
+LinearModel::predict(const double *x, std::size_t n) const
+{
+    if (n != weights_.size())
         util::panic(util::format(
-            "LinearModel::predict: arity mismatch (%zu vs %zu)",
-            x.size(), weights_.size()));
+            "LinearModel::predict: arity mismatch (%zu vs %zu)", n,
+            weights_.size()));
     double y = intercept_;
-    for (std::size_t j = 0; j < weights_.size(); ++j)
+    for (std::size_t j = 0; j < n; ++j)
         y += weights_[j] * (x[j] / scales_[j]);
     return y;
 }

@@ -43,6 +43,13 @@ class LinearModel
     /** Predicted value for @p x (must match the fitted arity). */
     double predict(const std::vector<double> &x) const;
 
+    /**
+     * predict() over @p n features at @p x, in the same operation
+     * order, so the result is bit-equal to the vector overload. Lets
+     * hot callers with a fixed-size feature set skip the vector.
+     */
+    double predict(const double *x, std::size_t n) const;
+
     /** Coefficient of determination on a dataset. */
     double rSquared(const std::vector<std::vector<double>> &X,
                     const std::vector<double> &y) const;

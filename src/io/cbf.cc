@@ -372,7 +372,24 @@ CbfBuilder::nextColumn(const std::string &name, DType dtype,
     column.dtype = dtype;
     column.count = count;
     column.payload.clear();
+    column.borrowed = false;
+    column.checksumKnown = false;
     return &column.payload;
+}
+
+void
+CbfBuilder::addBorrowed(const std::string &name, DType dtype,
+                        const void *data, std::size_t count,
+                        const std::uint64_t *checksum)
+{
+    nextColumn(name, dtype, count);
+    Column &column = columns_[used_ - 1];
+    column.borrowed = true;
+    column.borrowedData = static_cast<const char *>(data);
+    column.borrowedBytes = count * dtypeSize(dtype);
+    column.checksumKnown = checksum != nullptr;
+    if (checksum)
+        column.checksum = *checksum;
 }
 
 void
@@ -382,104 +399,73 @@ CbfBuilder::clear()
 }
 
 void
-CbfBuilder::addF64(const std::string &name, const double *data,
-                   std::size_t n)
+CbfBuilder::addCopy(const std::string &name, DType dtype,
+                    const void *data, std::size_t count)
 {
-    std::string *payload = nextColumn(name, DType::F64, n);
-    if (n)
-        payload->assign(reinterpret_cast<const char *>(data),
-                        n * sizeof(double));
+    std::string *payload = nextColumn(name, dtype, count);
+    if (count)
+        payload->assign(static_cast<const char *>(data),
+                        count * dtypeSize(dtype));
 }
 
 void
 CbfBuilder::addF64(const std::string &name, const std::vector<double> &v)
 {
-    addF64(name, v.data(), v.size());
-}
-
-void
-CbfBuilder::addU64(const std::string &name, const std::uint64_t *data,
-                   std::size_t n)
-{
-    std::string *payload = nextColumn(name, DType::U64, n);
-    if (n)
-        payload->assign(reinterpret_cast<const char *>(data),
-                        n * sizeof(std::uint64_t));
+    addCopy(name, DType::F64, v.data(), v.size());
 }
 
 void
 CbfBuilder::addU64(const std::string &name,
                    const std::vector<std::uint64_t> &v)
 {
-    addU64(name, v.data(), v.size());
-}
-
-void
-CbfBuilder::addI64(const std::string &name, const std::int64_t *data,
-                   std::size_t n)
-{
-    std::string *payload = nextColumn(name, DType::I64, n);
-    if (n)
-        payload->assign(reinterpret_cast<const char *>(data),
-                        n * sizeof(std::int64_t));
+    addCopy(name, DType::U64, v.data(), v.size());
 }
 
 void
 CbfBuilder::addI64(const std::string &name,
                    const std::vector<std::int64_t> &v)
 {
-    addI64(name, v.data(), v.size());
-}
-
-void
-CbfBuilder::addU8(const std::string &name, const std::uint8_t *data,
-                  std::size_t n)
-{
-    std::string *payload = nextColumn(name, DType::U8, n);
-    if (n)
-        payload->assign(reinterpret_cast<const char *>(data), n);
+    addCopy(name, DType::I64, v.data(), v.size());
 }
 
 void
 CbfBuilder::addU8(const std::string &name,
                   const std::vector<std::uint8_t> &v)
 {
-    addU8(name, v.data(), v.size());
+    addCopy(name, DType::U8, v.data(), v.size());
 }
 
 void
 CbfBuilder::addBytes(const std::string &name, const char *data,
                      std::size_t n)
 {
-    std::string *payload = nextColumn(name, DType::Bytes, n);
-    if (n)
-        payload->assign(data, n);
+    addCopy(name, DType::Bytes, data, n);
 }
 
 void
 CbfBuilder::addBytes(const std::string &name, const std::string &bytes)
 {
-    addBytes(name, bytes.data(), bytes.size());
+    addCopy(name, DType::Bytes, bytes.data(), bytes.size());
 }
 
 void
-CbfBuilder::buildInto(std::string *out) const
+CbfBuilder::buildInto(std::string *out, std::size_t prefix) const
 {
-    // Lay out payload sections after the table, each 8-byte aligned.
-    // Offsets are cheap to recompute, so the layout is walked three
-    // times (total size, table, payloads) instead of materializing an
-    // offsets vector — buildInto on a warm output string allocates
-    // nothing.
+    // Lay out payload sections after the table, each 8-byte aligned
+    // relative to the start of the file. Offsets are cheap to
+    // recompute, so the layout is walked three times (total size,
+    // table, payloads) instead of materializing an offsets vector —
+    // buildInto on a warm output string allocates nothing.
     const std::uint64_t table_bytes = used_ * kTableEntrySize;
     std::uint64_t cursor = kHeaderSize + table_bytes;
     for (std::size_t i = 0; i < used_; ++i) {
         cursor = align8(cursor);
-        cursor += columns_[i].payload.size();
+        cursor += columns_[i].size();
     }
     const std::uint64_t total = cursor;
 
-    out->clear();
-    out->reserve(total);
+    out->resize(prefix);
+    out->reserve(prefix + total);
     out->append(kCbfMagic, sizeof kCbfMagic);
     appendInt(out, kCbfVersion);
     appendInt(out, static_cast<std::uint32_t>(used_));
@@ -496,18 +482,20 @@ CbfBuilder::buildInto(std::string *out) const
         out->append(7, '\0');
         appendInt(out, std::uint64_t{column.count});
         appendInt(out, cursor);
-        appendInt(out, std::uint64_t{column.payload.size()});
-        appendInt(out, xxhash64(column.payload.data(),
-                                column.payload.size()));
-        cursor += column.payload.size();
+        appendInt(out, std::uint64_t{column.size()});
+        appendInt(out, column.checksumKnown
+                           ? column.checksum
+                           : xxhash64(column.data(), column.size()));
+        cursor += column.size();
     }
     const std::uint64_t table_checksum =
-        xxhash64(out->data() + kHeaderSize, table_bytes);
-    std::memcpy(out->data() + 24, &table_checksum,
+        xxhash64(out->data() + prefix + kHeaderSize, table_bytes);
+    std::memcpy(out->data() + prefix + 24, &table_checksum,
                 sizeof table_checksum);
     for (std::size_t i = 0; i < used_; ++i) {
-        out->append(align8(out->size()) - out->size(), '\0');
-        out->append(columns_[i].payload);
+        const std::size_t written = out->size() - prefix;
+        out->append(align8(written) - written, '\0');
+        out->append(columns_[i].data(), columns_[i].size());
     }
 }
 
@@ -711,7 +699,7 @@ CbfFile::tryOpen(const std::string &path, CbfFile *out,
 }
 
 const ColumnDesc *
-CbfFile::find(const std::string &name) const
+CbfFile::find(std::string_view name) const
 {
     for (const ColumnDesc &column : columns_)
         if (column.name == name)
@@ -730,16 +718,16 @@ CbfFile::columnData(const ColumnDesc &desc) const
 
 template <typename T>
 bool
-CbfFile::typedColumn(const std::string &name, DType dtype, const T **data,
+CbfFile::typedColumn(std::string_view name, DType dtype, const T **data,
                      std::size_t *count, std::string *error) const
 {
     const ColumnDesc *desc = find(name);
     if (!desc) {
-        *error = "missing column '" + name + "'";
+        *error = "missing column '" + std::string(name) + "'";
         return false;
     }
     if (desc->dtype != dtype) {
-        *error = "column '" + name + "' has dtype " +
+        *error = "column '" + std::string(name) + "' has dtype " +
                  dtypeName(desc->dtype) + ", expected " +
                  dtypeName(dtype);
         return false;
@@ -751,35 +739,35 @@ CbfFile::typedColumn(const std::string &name, DType dtype, const T **data,
 }
 
 bool
-CbfFile::f64(const std::string &name, const double **data,
+CbfFile::f64(std::string_view name, const double **data,
              std::size_t *count, std::string *error) const
 {
     return typedColumn(name, DType::F64, data, count, error);
 }
 
 bool
-CbfFile::u64(const std::string &name, const std::uint64_t **data,
+CbfFile::u64(std::string_view name, const std::uint64_t **data,
              std::size_t *count, std::string *error) const
 {
     return typedColumn(name, DType::U64, data, count, error);
 }
 
 bool
-CbfFile::i64(const std::string &name, const std::int64_t **data,
+CbfFile::i64(std::string_view name, const std::int64_t **data,
              std::size_t *count, std::string *error) const
 {
     return typedColumn(name, DType::I64, data, count, error);
 }
 
 bool
-CbfFile::u8(const std::string &name, const std::uint8_t **data,
+CbfFile::u8(std::string_view name, const std::uint8_t **data,
             std::size_t *count, std::string *error) const
 {
     return typedColumn(name, DType::U8, data, count, error);
 }
 
 bool
-CbfFile::bytes(const std::string &name, const char **data,
+CbfFile::bytes(std::string_view name, const char **data,
                std::size_t *size, std::string *error) const
 {
     return typedColumn(name, DType::Bytes, data, size, error);

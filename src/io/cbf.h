@@ -38,6 +38,7 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ceer {
@@ -93,40 +94,43 @@ struct ColumnDesc
  *
  * A builder is reusable: clear() retires the columns but keeps every
  * slot's string storage, so a clear-add-buildInto cycle on a warm
- * builder performs no heap allocation (the serving hot path leans on
- * this). The pointer-based add overloads exist for the same reason —
- * callers with data already laid out flat skip the vector temporary.
+ * builder performs no heap allocation. Hot paths add borrowed columns
+ * (addBorrowed), which are copied only once, into the built file.
  */
 class CbfBuilder
 {
   public:
     /** Adds a double column (raw IEEE-754 bits). */
     void addF64(const std::string &name, const std::vector<double> &v);
-    void addF64(const std::string &name, const double *data,
-                std::size_t n);
 
     /** Adds an unsigned 64-bit column. */
     void addU64(const std::string &name,
                 const std::vector<std::uint64_t> &v);
-    void addU64(const std::string &name, const std::uint64_t *data,
-                std::size_t n);
 
     /** Adds a signed 64-bit column. */
     void addI64(const std::string &name,
                 const std::vector<std::int64_t> &v);
-    void addI64(const std::string &name, const std::int64_t *data,
-                std::size_t n);
 
     /** Adds a byte column (bools, flags). */
     void addU8(const std::string &name,
                const std::vector<std::uint8_t> &v);
-    void addU8(const std::string &name, const std::uint8_t *data,
-               std::size_t n);
 
     /** Adds an opaque blob column (count == byte length). */
     void addBytes(const std::string &name, const std::string &bytes);
     void addBytes(const std::string &name, const char *data,
                   std::size_t n);
+
+    /**
+     * Adds a column the builder does not copy: @p count elements of
+     * @p dtype at @p data, which the caller keeps alive and unchanged
+     * until the file is built. Its bytes are copied once, straight
+     * into the built file. @p checksum, when given, must be the
+     * payload's xxhash64; it is written as is instead of being
+     * recomputed, so a payload that never changes is hashed once.
+     */
+    void addBorrowed(const std::string &name, DType dtype,
+                     const void *data, std::size_t count,
+                     const std::uint64_t *checksum = nullptr);
 
     /** Retires all columns but keeps slot storage for reuse. */
     void clear();
@@ -135,10 +139,14 @@ class CbfBuilder
     std::string build() const;
 
     /**
-     * Serializes the whole file into @p out (cleared first), reusing
-     * its capacity. Byte-identical to build().
+     * Serializes the whole file into @p out, reusing its capacity.
+     * The first @p prefix bytes of @p out are kept (it is truncated,
+     * or zero-padded, to that length first) and the file is appended
+     * after them, so a caller can reserve room for its own header and
+     * fill it in afterwards. The file bytes are identical to build()
+     * whatever the prefix.
      */
-    void buildInto(std::string *out) const;
+    void buildInto(std::string *out, std::size_t prefix = 0) const;
 
     /** Writes build() to a stream. */
     void write(std::ostream &out) const;
@@ -158,8 +166,26 @@ class CbfBuilder
         std::string name;
         DType dtype = DType::F64;
         std::uint64_t count = 0;
-        std::string payload;
+        std::string payload; ///< Owned bytes, unless borrowed.
+        bool borrowed = false;
+        const char *borrowedData = nullptr; ///< addBorrowed() bytes.
+        std::size_t borrowedBytes = 0;
+        bool checksumKnown = false;
+        std::uint64_t checksum = 0; ///< When checksumKnown.
+
+        const char *data() const
+        {
+            return borrowed ? borrowedData : payload.data();
+        }
+        std::size_t size() const
+        {
+            return borrowed ? borrowedBytes : payload.size();
+        }
     };
+
+    /** Adds a column holding a copy of @p count elements at @p data. */
+    void addCopy(const std::string &name, DType dtype, const void *data,
+                 std::size_t count);
 
     /** Claims the next column slot (reusing retired storage) and
         returns its payload string for the caller to fill. */
@@ -238,7 +264,7 @@ class CbfFile
     const std::vector<ColumnDesc> &columns() const { return columns_; }
 
     /** Column descriptor by name, or nullptr when absent. */
-    const ColumnDesc *find(const std::string &name) const;
+    const ColumnDesc *find(std::string_view name) const;
 
     /**
      * Typed zero-copy access to a column: on success @p data points at
@@ -246,15 +272,15 @@ class CbfFile
      * @p count receives the element count. Fails on a missing column
      * or a dtype mismatch.
      */
-    bool f64(const std::string &name, const double **data,
+    bool f64(std::string_view name, const double **data,
              std::size_t *count, std::string *error) const;
-    bool u64(const std::string &name, const std::uint64_t **data,
+    bool u64(std::string_view name, const std::uint64_t **data,
              std::size_t *count, std::string *error) const;
-    bool i64(const std::string &name, const std::int64_t **data,
+    bool i64(std::string_view name, const std::int64_t **data,
              std::size_t *count, std::string *error) const;
-    bool u8(const std::string &name, const std::uint8_t **data,
+    bool u8(std::string_view name, const std::uint8_t **data,
             std::size_t *count, std::string *error) const;
-    bool bytes(const std::string &name, const char **data,
+    bool bytes(std::string_view name, const char **data,
                std::size_t *size, std::string *error) const;
 
   private:
@@ -262,7 +288,7 @@ class CbfFile
 
     const char *columnData(const ColumnDesc &desc) const;
     template <typename T>
-    bool typedColumn(const std::string &name, DType dtype, const T **data,
+    bool typedColumn(std::string_view name, DType dtype, const T **data,
                      std::size_t *count, std::string *error) const;
     void reset();
 

@@ -165,13 +165,15 @@ TraceSink::tryWriteFile(const std::string &path,
     return true;
 }
 
-ScopedSpan::ScopedSpan(std::string name, std::string category)
+ScopedSpan::ScopedSpan(std::string_view name, std::string_view category)
 {
+    // Names are copied only while armed: a disabled span, the common
+    // case on hot paths, allocates nothing.
     if (!enabled())
         return;
     armed_ = true;
-    name_ = std::move(name);
-    category_ = std::move(category);
+    name_ = name;
+    category_ = category;
     startUs_ = TraceSink::instance().nowUs();
 }
 

@@ -21,6 +21,7 @@
 #include <iosfwd>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -119,8 +120,8 @@ class TraceSink
 class ScopedSpan
 {
   public:
-    explicit ScopedSpan(std::string name,
-                        std::string category = "obs");
+    explicit ScopedSpan(std::string_view name,
+                        std::string_view category = "obs");
     ~ScopedSpan();
     ScopedSpan(const ScopedSpan &) = delete;
     ScopedSpan &operator=(const ScopedSpan &) = delete;

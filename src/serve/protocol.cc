@@ -1,8 +1,10 @@
 #include "serve/protocol.h"
 
 #include <cstring>
+#include <span>
 
 #include "io/cbf.h"
+#include "util/logging.h"
 #include "util/random.h"
 #include "util/strings.h"
 
@@ -76,7 +78,7 @@ parsePayload(const std::string &payload, const char *what,
 
 /** Reads the single element of a required scalar i64 column. */
 bool
-readScalarI64(const io::CbfFile &file, const std::string &name,
+readScalarI64(const io::CbfFile &file, const char *name,
               std::int64_t *out, std::string *error)
 {
     const std::int64_t *data = nullptr;
@@ -85,7 +87,8 @@ readScalarI64(const io::CbfFile &file, const std::string &name,
         return false;
     if (count != 1) {
         if (error)
-            *error = "column '" + name + "' must hold exactly 1 value";
+            *error = "column '" + std::string(name) +
+                     "' must hold exactly 1 value";
         return false;
     }
     *out = data[0];
@@ -94,7 +97,7 @@ readScalarI64(const io::CbfFile &file, const std::string &name,
 
 /** Reads the single element of a required scalar f64 column. */
 bool
-readScalarF64(const io::CbfFile &file, const std::string &name,
+readScalarF64(const io::CbfFile &file, const char *name,
               double *out, std::string *error)
 {
     const double *data = nullptr;
@@ -103,7 +106,8 @@ readScalarF64(const io::CbfFile &file, const std::string &name,
         return false;
     if (count != 1) {
         if (error)
-            *error = "column '" + name + "' must hold exactly 1 value";
+            *error = "column '" + std::string(name) +
+                     "' must hold exactly 1 value";
         return false;
     }
     *out = data[0];
@@ -112,7 +116,7 @@ readScalarF64(const io::CbfFile &file, const std::string &name,
 
 /** Reads a required bytes column into a string. */
 bool
-readBytes(const io::CbfFile &file, const std::string &name,
+readBytes(const io::CbfFile &file, const char *name,
           std::string *out, std::string *error)
 {
     const char *data = nullptr;
@@ -125,7 +129,7 @@ readBytes(const io::CbfFile &file, const std::string &name,
 
 /** Reads a required f64 column into a vector. */
 bool
-readF64Vector(const io::CbfFile &file, const std::string &name,
+readF64Vector(const io::CbfFile &file, const char *name,
               std::vector<double> *out, std::string *error)
 {
     const double *data = nullptr;
@@ -191,19 +195,35 @@ decodeFrameHeader(const char *data, FrameHeader *out,
     return true;
 }
 
+namespace {
+
+/**
+ * Fills the header of @p frame, whose payload already follows the
+ * kFrameHeaderBytes reserved at its front.
+ */
+void
+finishFrame(FrameType type, std::string *frame)
+{
+    const char *payload = frame->data() + kFrameHeaderBytes;
+    const std::size_t size = frame->size() - kFrameHeaderBytes;
+    FrameHeader header;
+    header.type = type;
+    header.payloadBytes = static_cast<std::uint32_t>(size);
+    header.checksum = io::xxhash64(payload, size);
+    encodeFrameHeader(header, frame->data());
+}
+
+} // namespace
+
 void
 buildFrameInto(FrameType type, const std::string &payload,
                std::string *out)
 {
-    FrameHeader header;
-    header.type = type;
-    header.payloadBytes = static_cast<std::uint32_t>(payload.size());
-    header.checksum = io::xxhash64(payload.data(), payload.size());
     out->clear();
     out->reserve(kFrameHeaderBytes + payload.size());
     out->resize(kFrameHeaderBytes);
-    encodeFrameHeader(header, out->data());
     out->append(payload);
+    finishFrame(type, out);
 }
 
 std::string
@@ -322,39 +342,127 @@ responseFromRecommendation(const core::Recommendation &recommendation)
     return response;
 }
 
+namespace {
+
+/**
+ * The columns of one recommend response, borrowed from the caller.
+ * Each keeps its own length, so an inconsistent RecommendResponse
+ * encodes as before and is rejected by the decoder, not read past.
+ */
+struct ResponseColumns
+{
+    std::int64_t bestIndex = -1;
+    std::span<const char> names; ///< Concatenated.
+    std::span<const std::uint64_t> nameOffsets;
+    std::span<const double> hourlyUsd;
+    std::span<const double> hours;
+    std::span<const double> costUsd;
+    std::span<const double> iterationUs;
+    std::span<const std::uint8_t> feasible;
+    /// Known checksums of names, nameOffsets and hourlyUsd, or null.
+    const std::uint64_t *catalogChecksums = nullptr;
+};
+
+/**
+ * The one writer of the recommend-response schema (column names,
+ * order and dtypes): adds @p c's columns to a cleared @p builder,
+ * which copies each payload once, into the built file.
+ */
+void
+addResponseColumns(const ResponseColumns &c, io::CbfBuilder *builder)
+{
+    const std::uint64_t *known = c.catalogChecksums;
+    const auto add = [&](const char *name, io::DType dtype, auto column,
+                         const std::uint64_t *checksum) {
+        builder->addBorrowed(name, dtype, column.data(), column.size(),
+                             checksum);
+    };
+    builder->addBorrowed("best_index", io::DType::I64, &c.bestIndex, 1);
+    add("instance", io::DType::Bytes, c.names, known ? &known[0] : nullptr);
+    add("instance.off", io::DType::U64, c.nameOffsets,
+        known ? &known[1] : nullptr);
+    add("hourly_usd", io::DType::F64, c.hourlyUsd,
+        known ? &known[2] : nullptr);
+    add("hours", io::DType::F64, c.hours, nullptr);
+    add("cost_usd", io::DType::F64, c.costUsd, nullptr);
+    add("iteration_us", io::DType::F64, c.iterationUs, nullptr);
+    add("feasible", io::DType::U8, c.feasible, nullptr);
+}
+
+} // namespace
+
 void
 encodeRecommendResponseInto(const RecommendResponse &response,
                             ResponseEncodeScratch *scratch,
                             std::string *payload)
 {
-    io::CbfBuilder &builder = scratch->builder;
-    builder.clear();
-    builder.addI64("best_index", &response.bestIndex, 1);
-    // The "instance" string column, laid out exactly as
-    // io::addStringColumn does but through reusable scratch buffers.
+    // The "instance" string column, laid out as io::addStringColumn
+    // does but through reusable scratch buffers.
     std::string &blob = scratch->blob;
     std::vector<std::uint64_t> &offsets = scratch->offsets;
     blob.clear();
-    offsets.clear();
-    offsets.reserve(response.instances.size() + 1);
-    offsets.push_back(0);
+    offsets.assign(1, 0);
     for (const std::string &name : response.instances) {
         blob += name;
         offsets.push_back(blob.size());
     }
-    builder.addBytes("instance", blob);
-    builder.addU64("instance.off", offsets.data(), offsets.size());
-    builder.addF64("hourly_usd", response.hourlyUsd.data(),
-                   response.hourlyUsd.size());
-    builder.addF64("hours", response.hours.data(),
-                   response.hours.size());
-    builder.addF64("cost_usd", response.costUsd.data(),
-                   response.costUsd.size());
-    builder.addF64("iteration_us", response.iterationUs.data(),
-                   response.iterationUs.size());
-    builder.addU8("feasible", response.feasible.data(),
-                  response.feasible.size());
-    builder.buildInto(payload);
+    const ResponseColumns columns{
+        response.bestIndex,   scratch->blob,  scratch->offsets,
+        response.hourlyUsd,   response.hours, response.costUsd,
+        response.iterationUs, response.feasible};
+    scratch->builder.clear();
+    addResponseColumns(columns, &scratch->builder);
+    scratch->builder.buildInto(payload);
+}
+
+ResponseCatalogColumns::ResponseCatalogColumns(
+    const std::vector<cloud::GpuInstance> &candidates)
+{
+    offsets_.push_back(0);
+    for (const cloud::GpuInstance &instance : candidates) {
+        names_ += instance.name;
+        offsets_.push_back(names_.size());
+        hourlyUsd_.push_back(instance.hourlyUsd);
+    }
+    checksums_[0] = io::xxhash64(names_.data(), names_.size());
+    checksums_[1] = io::xxhash64(offsets_.data(),
+                                 offsets_.size() * sizeof(std::uint64_t));
+    checksums_[2] = io::xxhash64(hourlyUsd_.data(),
+                                 hourlyUsd_.size() * sizeof(double));
+}
+
+void
+writeRecommendResponseFrame(const core::Recommendation &recommendation,
+                            const ResponseCatalogColumns &catalog,
+                            ResponseFrameScratch *scratch,
+                            std::string *frame)
+{
+    const std::size_t n = recommendation.evaluations.size();
+    if (n != catalog.rows())
+        util::panic(util::format(
+            "writeRecommendResponseFrame: %zu evaluations for a "
+            "%zu-row catalog",
+            n, catalog.rows()));
+    scratch->hours.resize(n);
+    scratch->costUsd.resize(n);
+    scratch->iterationUs.resize(n);
+    scratch->feasible.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const core::CandidateEvaluation &evaluation =
+            recommendation.evaluations[i];
+        scratch->hours[i] = evaluation.prediction.hours;
+        scratch->costUsd[i] = evaluation.costUsd;
+        scratch->iterationUs[i] = evaluation.prediction.iterationUs;
+        scratch->feasible[i] = evaluation.feasible() ? 1 : 0;
+    }
+    const ResponseColumns columns{
+        recommendation.bestIndex, catalog.names_,    catalog.offsets_,
+        catalog.hourlyUsd_,       scratch->hours,    scratch->costUsd,
+        scratch->iterationUs,     scratch->feasible, catalog.checksums_};
+    scratch->builder.clear();
+    addResponseColumns(columns, &scratch->builder);
+    scratch->builder.buildInto(frame, kFrameHeaderBytes);
+    finishFrame(FrameType::Response, frame);
 }
 
 std::string

@@ -200,6 +200,60 @@ void encodeRecommendResponseInto(const RecommendResponse &response,
                                  ResponseEncodeScratch *scratch,
                                  std::string *payload);
 
+/** Reusable per-request state for writeRecommendResponseFrame. */
+struct ResponseFrameScratch
+{
+    io::CbfBuilder builder;
+    std::vector<double> hours;          ///< "hours" column.
+    std::vector<double> costUsd;        ///< "cost_usd" column.
+    std::vector<double> iterationUs;    ///< "iteration_us" column.
+    std::vector<std::uint8_t> feasible; ///< "feasible" column.
+};
+
+/**
+ * The columns of a recommend response that depend only on the
+ * candidate list — "instance", "instance.off" and "hourly_usd" —
+ * encoded once, with their xxhash64 checksums. A server sweeps the
+ * same catalog for every request, so it builds one of these up front
+ * and every reply borrows it.
+ */
+class ResponseCatalogColumns
+{
+  public:
+    /** Encodes the columns of @p candidates, in order. */
+    explicit ResponseCatalogColumns(
+        const std::vector<cloud::GpuInstance> &candidates);
+
+    /** Candidates (reply rows) the columns describe. */
+    std::size_t rows() const { return hourlyUsd_.size(); }
+
+  private:
+    friend void writeRecommendResponseFrame(
+        const core::Recommendation &, const ResponseCatalogColumns &,
+        ResponseFrameScratch *, std::string *);
+
+    std::string names_;                  ///< Concatenated names.
+    std::vector<std::uint64_t> offsets_; ///< N + 1 name offsets.
+    std::vector<double> hourlyUsd_;
+    std::uint64_t checksums_[3] = {}; ///< names_, offsets_, hourlyUsd_.
+};
+
+/**
+ * Writes the complete Response frame for @p recommendation, a sweep
+ * over the candidate list @p catalog was built from, into @p frame in
+ * one pass: the per-request columns are gathered from the
+ * recommendation, the catalog's are borrowed pre-encoded, and the CBF
+ * payload is built straight after the frame header, which is then
+ * filled in. Byte-identical to
+ * buildFrame(Response, encodeRecommendResponse(
+ * responseFromRecommendation(recommendation))); allocation-free once
+ * @p scratch and @p frame are warm. Panics when the row counts differ.
+ */
+void writeRecommendResponseFrame(const core::Recommendation &recommendation,
+                                 const ResponseCatalogColumns &catalog,
+                                 ResponseFrameScratch *scratch,
+                                 std::string *frame);
+
 /** Parses a Response payload; @p out untouched on failure. */
 bool decodeRecommendResponse(const std::string &payload,
                              RecommendResponse *out,

@@ -77,6 +77,7 @@ Server::Server(core::CeerModel model, cloud::InstanceCatalog catalog,
                ServerOptions options)
     : options_(std::move(options)),
       candidates_(catalog.instances()),
+      catalogColumns_(candidates_),
       engine_(std::make_shared<const Engine>(std::move(model), 1)),
       planCache_(options_.planCacheCapacity)
 {
@@ -611,19 +612,15 @@ Server::handleRequest(Reactor &reactor, Session &session,
         request.objective == "time" ? core::Objective::MinTrainingTime
                                     : core::Objective::MinCost);
 
-    // The sweep, projection and encode all write into per-reactor
-    // scratch: a warm request allocates nothing from here on.
+    // The sweep and the reply frame write into per-reactor scratch: a
+    // warm request allocates nothing from here on.
     core::recommendInto(engine->predictor, *entry->plan, workload,
                         candidates_, objective, constraints,
                         options_.sweepThreads, &reactor.sweepScratch,
                         &entry->fits);
-    responseFromRecommendationInto(reactor.sweepScratch,
-                                   &reactor.responseScratch);
-    encodeRecommendResponseInto(reactor.responseScratch,
-                                &reactor.encodeScratch,
-                                &reactor.payloadScratch);
-    buildFrameInto(FrameType::Response, reactor.payloadScratch,
-                   &reactor.frameScratch);
+    writeRecommendResponseFrame(reactor.sweepScratch, catalogColumns_,
+                                &reactor.replyScratch,
+                                &reactor.frameScratch);
     if (!sendAll(session.fd, reactor.frameScratch.data(),
                  reactor.frameScratch.size(), &error))
         return false;

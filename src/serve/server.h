@@ -26,10 +26,11 @@
  *
  * The steady-state request path performs no heap allocation: frames
  * are decoded in place from the session's input buffer (CBF view
- * parse), the candidate sweep, response projection and encode all
- * write into per-reactor reusable scratch, and the response frame is
- * built into a reusable output buffer. bench/micro_serve enforces
- * this with an operator-new counting gate.
+ * parse), the candidate sweep writes into per-reactor reusable
+ * scratch, and the reply frame is written in one pass into a reusable
+ * output buffer — the catalog's name and price columns are encoded
+ * once per Server and borrowed by every reply. bench/micro_serve
+ * enforces this with an operator-new counting gate.
  *
  * Admission control is a bounded queue: once `maxQueueDepth` requests
  * are admitted and not yet answered (across all reactors), further
@@ -211,9 +212,7 @@ class Server
         RecommendRequest requestScratch;           ///< Decoded request.
         io::CbfFile requestFile;                   ///< View-parse scratch.
         core::Recommendation sweepScratch;         ///< Candidate sweep.
-        RecommendResponse responseScratch;         ///< Columnar rows.
-        ResponseEncodeScratch encodeScratch;       ///< CBF encode scratch.
-        std::string payloadScratch;                ///< Encoded payload.
+        ResponseFrameScratch replyScratch;         ///< Reply columns.
         std::string frameScratch;                  ///< Outgoing frame.
         std::string keyScratch;                    ///< "model:batch" key.
     };
@@ -235,6 +234,12 @@ class Server
 
     ServerOptions options_;
     std::vector<cloud::GpuInstance> candidates_;
+    /**
+     * candidates_'s reply columns, encoded once. Neither changes for
+     * the server's lifetime (a reload swaps only the engine), so the
+     * cache is never invalidated.
+     */
+    const ResponseCatalogColumns catalogColumns_;
 
     mutable std::mutex engineMutex_;
     std::shared_ptr<const Engine> engine_;

@@ -5,6 +5,7 @@
  * held-out CNNs, ablations, recommendation and serialization.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <sstream>
@@ -567,6 +568,157 @@ TEST(RecommenderTest, NoFeasibleCandidateYieldsNoBest)
                   Objective::MinCost, constraints);
     EXPECT_EQ(result.bestIndex, -1);
     EXPECT_DEATH(result.best(), "no feasible");
+}
+
+/**
+ * syntheticFleet(2000) — the serve_fleet catalog — with instances
+ * outside the recommender's (GPU, k) class table (k = 12 and k = 64)
+ * spliced in at the front and in the middle.
+ */
+std::vector<cloud::GpuInstance>
+fleetWithWideInstances()
+{
+    std::vector<cloud::GpuInstance> candidates =
+        cloud::InstanceCatalog::syntheticFleet(2000, 7).instances();
+    candidates.insert(candidates.begin(),
+                      {"wide-v100-12gpu", GpuModel::V100, 12, 40.0});
+    candidates.insert(candidates.begin() + 1000,
+                      {"wide-t4-64gpu", GpuModel::T4, 64, 61.0});
+    return candidates;
+}
+
+/**
+ * A small hand-made catalog: M60 appears exactly once, V100 at k = 12
+ * and T4 at k = 64 lie outside the class table, and two V100 k = 1
+ * instances share a class at different prices.
+ */
+std::vector<cloud::GpuInstance>
+handMadeCatalog()
+{
+    return {{"solo-m60-2gpu", GpuModel::M60, 2, 1.1},
+            {"v100-1gpu-a", GpuModel::V100, 1, 3.06},
+            {"v100-12gpu", GpuModel::V100, 12, 36.7},
+            {"t4-64gpu", GpuModel::T4, 64, 60.8},
+            {"v100-1gpu-b", GpuModel::V100, 1, 2.5}};
+}
+
+/** Median predicted cost of a sweep: a total budget that cuts. */
+double
+medianCost(const Recommendation &r)
+{
+    std::vector<double> costs;
+    for (const CandidateEvaluation &evaluation : r.evaluations)
+        costs.push_back(evaluation.costUsd);
+    std::nth_element(costs.begin(), costs.begin() + costs.size() / 2,
+                     costs.end());
+    return costs[costs.size() / 2];
+}
+
+TEST(RecommenderClassSweepTest, MatchesPerCandidatePredictionBitForBit)
+{
+    // The sweep predicts each (GPU, k) class once and copies it to
+    // every candidate of the class; instances outside the table are
+    // predicted directly. Either way every field, the winner included,
+    // must equal a per-candidate predictTraining sweep bit for bit,
+    // with and without budgets, serially and on the pool.
+    const CeerPredictor predictor(trainedModel());
+    for (const std::vector<cloud::GpuInstance> &candidates :
+         {fleetWithWideInstances(), handMadeCatalog()}) {
+        for (const char *name : {"resnet_50", "vgg_16", "inception_v3"}) {
+            SCOPED_TRACE(testing::Message()
+                         << name << ", " << candidates.size()
+                         << " candidates");
+            const Graph g = models::buildModel(name, 32);
+            const PredictPlan plan = predictor.compile(g);
+            const WorkloadSpec workload{&g, 1'200'000, 32};
+            const Recommendation unconstrained = referenceRecommendation(
+                predictor, plan, workload, candidates,
+                objectiveFunction(Objective::MinCost), Constraints{});
+            Constraints budgets;
+            budgets.hourlyBudgetUsd = 8.0;
+            budgets.hourlyToleranceUsd = 0.42;
+            budgets.totalBudgetUsd = medianCost(unconstrained);
+            for (const Constraints &constraints :
+                 {Constraints{}, budgets}) {
+                for (Objective objective :
+                     {Objective::MinCost, Objective::MinTrainingTime}) {
+                    const ObjectiveFn fn = objectiveFunction(objective);
+                    const Recommendation expected =
+                        referenceRecommendation(predictor, plan,
+                                                workload, candidates, fn,
+                                                constraints);
+                    for (int threads : {1, 4}) {
+                        SCOPED_TRACE(testing::Message()
+                                     << threads << " threads");
+                        Recommendation actual;
+                        recommendInto(predictor, plan, workload,
+                                      candidates, fn, constraints,
+                                      threads, &actual);
+                        expectSameRecommendation(expected, actual);
+                    }
+                }
+            }
+            // The budgets do cut: some candidates fail each budget.
+            const Recommendation cut = referenceRecommendation(
+                predictor, plan, workload, candidates,
+                objectiveFunction(Objective::MinCost), budgets);
+            int over_hourly = 0, over_total = 0;
+            for (const CandidateEvaluation &evaluation : cut.evaluations) {
+                over_hourly += evaluation.withinHourly ? 0 : 1;
+                over_total += evaluation.withinTotal ? 0 : 1;
+            }
+            EXPECT_GT(over_hourly, 0);
+            EXPECT_GT(over_total, 0);
+        }
+    }
+}
+
+TEST(RecommenderClassSweepTest, WarmRecommendationIsReusedAcrossCatalogs)
+{
+    // One Recommendation swept over catalogs that grow and shrink:
+    // reused slots must carry nothing over from the previous sweep.
+    const CeerPredictor predictor(trainedModel());
+    const Graph g = models::buildModel("resnet_50", 32);
+    const PredictPlan plan = predictor.compile(g);
+    const WorkloadSpec workload{&g, 1'200'000, 32};
+    const ObjectiveFn fn = objectiveFunction(Objective::MinCost);
+    Constraints constraints;
+    constraints.totalBudgetUsd = 500.0;
+    const std::vector<std::vector<cloud::GpuInstance>> catalogs = {
+        fleetWithWideInstances(), handMadeCatalog(),
+        cloud::InstanceCatalog::awsOnDemand().instances(),
+        fleetWithWideInstances(), {}, handMadeCatalog()};
+    for (int threads : {1, 4}) {
+        Recommendation warm;
+        for (std::size_t c = 0; c < catalogs.size(); ++c) {
+            SCOPED_TRACE(testing::Message() << threads << " threads, "
+                                            << "catalog " << c);
+            recommendInto(predictor, plan, workload, catalogs[c], fn,
+                          constraints, threads, &warm);
+            expectSameRecommendation(
+                referenceRecommendation(predictor, plan, workload,
+                                        catalogs[c], fn, constraints),
+                warm);
+        }
+    }
+}
+
+TEST(RecommenderClassSweepTest, OutOfTableAndClassPanicsAreKept)
+{
+    // k < 1 is outside the class table and reaches predictTraining's
+    // own check; a bad dataset size panics in the class pre-pass with
+    // the message the per-candidate call gave.
+    const CeerPredictor predictor(trainedModel());
+    const Graph g = models::buildModel("alexnet", 32);
+    const std::vector<cloud::GpuInstance> zero_width = {
+        {"v100-1gpu", GpuModel::V100, 1, 3.06},
+        {"v100-0gpu", GpuModel::V100, 0, 3.06}};
+    EXPECT_DEATH(recommend(predictor, WorkloadSpec{&g, 1000, 32},
+                           zero_width, Objective::MinCost),
+                 "num_gpus must be >= 1");
+    EXPECT_DEATH(recommend(predictor, WorkloadSpec{&g, 0, 32},
+                           handMadeCatalog(), Objective::MinCost),
+                 "dataset and batch must be > 0");
 }
 
 TEST(SerializationTest, SaveLoadRoundTripPredictsIdentically)

@@ -228,6 +228,50 @@ TEST(CbfTest, BuilderRoundTripsThroughAllThreeLoadPaths)
     EXPECT_EQ(again.build(), image);
 }
 
+TEST(CbfTest, BorrowedColumnsAndPrefixedBuildsKeepTheFileBytes)
+{
+    // Borrowed columns (hashed at build, or with a caller-supplied
+    // checksum) and a build after a caller-reserved prefix must lay
+    // out exactly the file the copying adds produce.
+    const std::string image = sampleBuilder().build();
+    const std::uint8_t flags[] = {1, 0, 1};
+    const double values[] = {1.5, -2.25, 1e300, -0.0};
+    const std::uint64_t counts[] = {7, 0xFFFFFFFFFFFFFFFFull};
+    const std::int64_t deltas[] = {-1, 2};
+    const std::string blob("hel\0lo", 6);
+    const std::uint64_t values_checksum =
+        xxhash64(values, sizeof values);
+    const std::uint64_t blob_checksum = xxhash64(blob.data(), blob.size());
+    CbfBuilder builder;
+    // A warm builder whose slots held owned payloads and more columns.
+    builder.addBytes("stale", "x");
+    builder.addF64("stale2", {1.0, 2.0, 3.0});
+    for (int round = 0; round < 2; ++round) {
+        builder.clear();
+        builder.addBorrowed("flags", DType::U8, flags, 3);
+        builder.addBorrowed("values", DType::F64, values, 4,
+                            &values_checksum);
+        builder.addU64("counts", {counts[0], counts[1]});
+        builder.addBorrowed("deltas", DType::I64, deltas, 2);
+        builder.addBorrowed("empty", DType::F64, nullptr, 0);
+        builder.addBorrowed("blob", DType::Bytes, blob.data(),
+                            blob.size(), &blob_checksum);
+        EXPECT_EQ(builder.build(), image) << "round " << round;
+        for (std::size_t prefix : {0, 5, 24}) {
+            std::string out(prefix + 3, 'p');
+            builder.buildInto(&out, prefix);
+            ASSERT_EQ(out.size(), prefix + image.size());
+            EXPECT_EQ(out.substr(0, prefix), std::string(prefix, 'p'));
+            EXPECT_EQ(out.substr(prefix), image) << "prefix " << prefix;
+        }
+    }
+    // Shorter outputs are zero-padded up to the prefix.
+    std::string out;
+    builder.buildInto(&out, 8);
+    EXPECT_EQ(out.substr(0, 8), std::string(8, '\0'));
+    EXPECT_EQ(out.substr(8), image);
+}
+
 TEST(CbfTest, AccessorsRejectMissingAndMistypedColumns)
 {
     CbfFile file;
@@ -832,19 +876,19 @@ withColumnDamaged(const CbfFile &file, const std::string &target,
         switch (desc.dtype) {
           case DType::F64:
             EXPECT_TRUE(file.f64(desc.name, &f64, &count, &error));
-            builder.addF64(desc.name, f64, n);
+            builder.addBorrowed(desc.name, DType::F64, f64, n);
             break;
           case DType::U64:
             EXPECT_TRUE(file.u64(desc.name, &u64, &count, &error));
-            builder.addU64(desc.name, u64, n);
+            builder.addBorrowed(desc.name, DType::U64, u64, n);
             break;
           case DType::I64:
             EXPECT_TRUE(file.i64(desc.name, &i64, &count, &error));
-            builder.addI64(desc.name, i64, n);
+            builder.addBorrowed(desc.name, DType::I64, i64, n);
             break;
           case DType::U8:
             EXPECT_TRUE(file.u8(desc.name, &u8, &count, &error));
-            builder.addU8(desc.name, u8, n);
+            builder.addBorrowed(desc.name, DType::U8, u8, n);
             break;
           case DType::Bytes:
             EXPECT_TRUE(file.bytes(desc.name, &blob, &count, &error));

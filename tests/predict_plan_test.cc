@@ -187,6 +187,37 @@ TEST(ParallelRecommenderTest, ByteIdenticalAtAnyThreadCount)
     }
 }
 
+TEST(ParallelRecommenderTest, ClassTableIsFilledBeforeFanOut)
+{
+    // The (GPU, k) class table is written by the caller's serial
+    // pre-pass and only read by the pool's workers. On the
+    // 2,000-instance fleet at 4 threads every worker reads it at once
+    // (TSan checks the hand-off), and the result must equal both the
+    // serial sweep and a per-candidate predictTraining reference, on
+    // a warm Recommendation reused round after round.
+    const CeerPredictor &predictor = cheapPredictor();
+    const Graph g = models::buildModel("inception_v3", 32);
+    const PredictPlan plan = predictor.compile(g);
+    const WorkloadSpec workload{&g, 1'200'000, 32};
+    const std::vector<cloud::GpuInstance> fleet =
+        cloud::InstanceCatalog::syntheticFleet(2000, 3).instances();
+    Constraints constraints;
+    constraints.hourlyBudgetUsd = 10.0;
+    const ObjectiveFn objective = objectiveFunction(Objective::MinCost);
+    const Recommendation expected = referenceRecommendation(
+        predictor, plan, workload, fleet, objective, constraints);
+    Recommendation warm;
+    for (int round = 0; round < 3; ++round) {
+        for (int threads : {1, 4}) {
+            SCOPED_TRACE(testing::Message() << "round " << round << ", "
+                                            << threads << " threads");
+            recommendInto(predictor, plan, workload, fleet, objective,
+                          constraints, threads, &warm);
+            expectSameRecommendation(expected, warm);
+        }
+    }
+}
+
 TEST(ParallelTrainerTest, ByteIdenticalAtAnyThreadCount)
 {
     profile::CollectOptions collect;

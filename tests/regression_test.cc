@@ -5,6 +5,8 @@
  */
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -187,6 +189,51 @@ TEST(LinearModelTest, DeserializeFailureLeavesModelUntouched)
         LinearModel::tryDeserialize("9;8,garbage", &model, &error));
     // The earlier valid state survives a failed re-load.
     EXPECT_DOUBLE_EQ(model.predict({4.0}), 3.0);
+}
+
+TEST(LinearModelTest, PointerPredictIsBitEqualToVectorPredict)
+{
+    // The pointer overload serves the comm model's per-candidate call
+    // without a vector; it must run predict()'s exact operation
+    // sequence, intercept + sum_j w_j * (x_j / s_j) in feature order.
+    const auto bits = [](double x) {
+        std::uint64_t u;
+        std::memcpy(&u, &x, sizeof u);
+        return u;
+    };
+    util::Rng rng(11);
+    for (std::size_t dims = 1; dims <= 6; ++dims) {
+        std::vector<std::vector<double>> X;
+        std::vector<double> y;
+        for (int i = 0; i < 40; ++i) {
+            std::vector<double> row;
+            double target = rng.uniform(-50.0, 50.0);
+            for (std::size_t j = 0; j < dims; ++j) {
+                row.push_back(rng.uniform(0.0, 1e8));
+                target += rng.uniform(-3.0, 3.0) * row.back();
+            }
+            X.push_back(row);
+            y.push_back(target);
+        }
+        const LinearModel model = LinearModel::fit(X, y);
+        for (int trial = 0; trial < 200; ++trial) {
+            std::vector<double> x;
+            for (std::size_t j = 0; j < dims; ++j)
+                x.push_back(rng.uniform(-1e9, 1e9));
+            double reference = model.intercept();
+            for (std::size_t j = 0; j < dims; ++j)
+                reference += model.scaledWeights()[j] *
+                             (x[j] / model.scales()[j]);
+            const double by_pointer = model.predict(x.data(), x.size());
+            ASSERT_EQ(bits(by_pointer), bits(model.predict(x)))
+                << dims << " features, trial " << trial;
+            ASSERT_EQ(bits(by_pointer), bits(reference))
+                << dims << " features, trial " << trial;
+        }
+    }
+    const LinearModel model = LinearModel::fit({{1.0, 2.0}}, {3.0});
+    const double one[1] = {1.0};
+    EXPECT_DEATH(model.predict(one, 1), "arity");
 }
 
 } // namespace

@@ -57,11 +57,13 @@ cheapModel()
 
 /** Boots a server on an ephemeral port; asserts the bind worked. */
 std::unique_ptr<Server>
-startServer(ServerOptions options = {})
+startServer(ServerOptions options = {},
+            cloud::InstanceCatalog catalog =
+                cloud::InstanceCatalog::awsOnDemand())
 {
     options.port = 0;
-    auto server = std::make_unique<Server>(
-        cheapModel(), cloud::InstanceCatalog::awsOnDemand(), options);
+    auto server = std::make_unique<Server>(cheapModel(),
+                                           std::move(catalog), options);
     std::string error;
     EXPECT_TRUE(server->tryStart(&error)) << error;
     return server;
@@ -133,11 +135,11 @@ waitForCounter(const std::string &name, std::uint64_t at_least)
 
 /** The reply bytes an in-process recommend() would produce. */
 std::string
-localReplyBytes(const RecommendRequest &request)
+localReplyBytes(const RecommendRequest &request,
+                const cloud::InstanceCatalog &catalog =
+                    cloud::InstanceCatalog::awsOnDemand())
 {
     const core::CeerPredictor predictor(cheapModel());
-    const cloud::InstanceCatalog catalog =
-        cloud::InstanceCatalog::awsOnDemand();
     const graph::Graph g =
         models::buildModel(request.model, request.batch);
     core::WorkloadSpec workload{&g, request.datasetSamples,
@@ -299,6 +301,66 @@ TEST(ServeProtocolTest, ResponseCodecRoundTrips)
 
     RecommendResponse garbage;
     EXPECT_FALSE(decodeRecommendResponse("junk", &garbage, &error));
+
+    // Each column is encoded at its own length, so an inconsistent
+    // response is caught by the decoder rather than read past.
+    RecommendResponse ragged = response;
+    ragged.hours.push_back(1.0);
+    ragged.feasible.pop_back();
+    EXPECT_FALSE(decodeRecommendResponse(encodeRecommendResponse(ragged),
+                                         &garbage, &error));
+    EXPECT_NE(error.find("disagree"), std::string::npos) << error;
+}
+
+TEST(ServeProtocolTest, ResponseFrameWriterMatchesTheReferenceChain)
+{
+    // The one-pass reply writer (catalog columns encoded once, the
+    // payload built straight after the frame header) must produce the
+    // bytes of the projection -> encode -> frame chain, on a warm
+    // scratch and frame reused across catalogs of different sizes,
+    // with and without a winner.
+    const core::CeerPredictor predictor(cheapModel());
+    const graph::Graph g = models::buildModel("resnet_50", 32);
+    const core::WorkloadSpec workload{&g, 1'200'000, 32};
+    core::Constraints no_winner;
+    no_winner.totalBudgetUsd = 0.0;
+    ResponseFrameScratch scratch;
+    std::string frame;
+    for (const cloud::InstanceCatalog &catalog :
+         {cloud::InstanceCatalog::syntheticFleet(2000, 5),
+          cloud::InstanceCatalog::awsOnDemand(),
+          cloud::InstanceCatalog(),
+          cloud::InstanceCatalog::syntheticFleet(333, 6)}) {
+        const ResponseCatalogColumns columns(catalog.instances());
+        ASSERT_EQ(columns.rows(), catalog.instances().size());
+        for (const core::Constraints &constraints :
+             {core::Constraints{}, no_winner}) {
+            SCOPED_TRACE(testing::Message()
+                         << catalog.instances().size()
+                         << " candidates, total budget "
+                         << constraints.totalBudgetUsd);
+            const core::Recommendation recommendation = core::recommend(
+                predictor, workload, catalog.instances(),
+                core::Objective::MinCost, constraints);
+            writeRecommendResponseFrame(recommendation, columns,
+                                        &scratch, &frame);
+            EXPECT_EQ(frame,
+                      buildFrame(FrameType::Response,
+                                 encodeRecommendResponse(
+                                     responseFromRecommendation(
+                                         recommendation))));
+        }
+    }
+    // A sweep over some other candidate list is a caller bug.
+    const ResponseCatalogColumns paper(
+        cloud::InstanceCatalog::awsOnDemand().instances());
+    const core::Recommendation fleet = core::recommend(
+        predictor, workload,
+        cloud::InstanceCatalog::syntheticFleet(20, 1).instances(),
+        core::Objective::MinCost);
+    EXPECT_DEATH(
+        writeRecommendResponseFrame(fleet, paper, &scratch, &frame),
+        "20 evaluations for a 16-row catalog");
 }
 
 TEST(ServeProtocolTest, ErrorAndReloadCodecsRoundTrip)
@@ -389,6 +451,82 @@ TEST(ServeServerTest, RecommendMatchesInProcessRecommendByteForByte)
     std::string cached_raw;
     ASSERT_TRUE(client.recommend(request, &response, &cached_raw).ok);
     EXPECT_EQ(cached_raw, raw);
+}
+
+/** Reads one complete frame, header included, off a raw socket. */
+bool
+readWholeFrame(int fd, std::string *frame)
+{
+    FrameHeader header;
+    std::string payload;
+    if (!readFrame(fd, &header, &payload))
+        return false;
+    frame->resize(kFrameHeaderBytes);
+    encodeFrameHeader(header, frame->data());
+    frame->append(payload);
+    return true;
+}
+
+TEST(ServeServerTest, FleetRepliesMatchTheReferenceChainAcrossReload)
+{
+    // A 2,000-instance fleet, the catalog whose reply columns the
+    // server encodes once: every reply frame must equal
+    // buildFrame(encode(project(recommend()))) on that catalog, with
+    // the sweep on the reactor alone and fanned out to 4 threads, and
+    // again after a hot reload swaps the engine under the cached
+    // catalog columns.
+    const cloud::InstanceCatalog fleet =
+        cloud::InstanceCatalog::syntheticFleet(2000, 9);
+    std::vector<RecommendRequest> requests;
+    for (const char *model : {"resnet_50", "vgg_16", "inception_v3"}) {
+        RecommendRequest request;
+        request.model = model;
+        requests.push_back(request);
+        request.objective = "time";
+        request.hourlyBudgetUsd = 6.0;
+        request.totalBudgetUsd = 200.0;
+        requests.push_back(request);
+    }
+    std::vector<std::string> expected;
+    for (const RecommendRequest &request : requests)
+        expected.push_back(buildFrame(FrameType::Response,
+                                      localReplyBytes(request, fleet)));
+
+    const std::string path = "serve_test_fleet_reload.tmp.txt";
+    {
+        std::ofstream out(path);
+        cheapModel().save(out);
+    }
+    for (int sweep_threads : {1, 4}) {
+        SCOPED_TRACE(testing::Message()
+                     << "sweepThreads " << sweep_threads);
+        ServerOptions options;
+        options.sweepThreads = sweep_threads;
+        auto server = startServer(options, fleet);
+        Fd fd = rawConnect(server->port());
+        const auto expectReplies = [&](const char *phase) {
+            for (std::size_t i = 0; i < requests.size(); ++i) {
+                const std::string request = buildFrame(
+                    FrameType::Request,
+                    encodeRecommendRequest(requests[i]));
+                std::string error;
+                ASSERT_TRUE(sendAll(fd.get(), request.data(),
+                                    request.size(), &error))
+                    << error;
+                std::string frame;
+                ASSERT_TRUE(readWholeFrame(fd.get(), &frame));
+                EXPECT_EQ(frame, expected[i])
+                    << phase << ", request " << i;
+            }
+        };
+        expectReplies("before reload");
+        std::string error;
+        ASSERT_TRUE(server->tryReload(path, &error)) << error;
+        EXPECT_EQ(server->generation(), 2u);
+        expectReplies("after reload");
+        server->stop();
+    }
+    std::remove(path.c_str());
 }
 
 TEST(ServeServerTest, PingPongRoundTrips)

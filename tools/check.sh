@@ -9,7 +9,8 @@
 #             iteration-parallel simulation, parallel recommend/train,
 #             the parallel cross-predictor evaluation sweep, the ceerd
 #             serving stack)
-#   ubsan     UBSanitizer build of the serialization/I-O boundary
+#   ubsan     UBSanitizer build of the serialization/I-O boundary,
+#             the ceerd serving stack and the recommender sweep
 #   asan      AddressSanitizer + LeakSanitizer build of the artifact
 #             loaders, the baselines and the ceerd serving stack
 #
@@ -87,7 +88,7 @@ pass_bench_smoke() {
     # recommender identity (plan-vs-reference-walk bit identity is
     # pinned by PredictPlanTest.MatchesScalarWalkBitForBit in ctest).
     ./build/bench/micro_ceer --iters 50 --train-iters 10 \
-        --catalog-copies 8 --out ''
+        --fleet 256 --sweep-seconds 0.01 --out ''
     # micro_obs doubles as a smoke test of the --metrics-out plumbing.
     ./build/bench/micro_obs --ops 100000 --threads 4 --out '' \
         --metrics-out build/check_obs_metrics.json
@@ -203,9 +204,10 @@ pass_tsan() {
     # fan-out across the thread pool with deterministic merge.
     ./build-tsan/tests/sim_test \
         --gtest_filter='SimulatorTest.ParallelRunIsByteIdenticalToSerial:SimulatorTest.RunIsByteIdenticalWithObservabilityOn'
-    # The parallel recommender sweep (one immutable PredictPlan read
-    # by every worker) and the parallel trainer fits under TSan, with
-    # and without observability.
+    # The parallel recommender sweep (one immutable PredictPlan and
+    # the (GPU, k) class table, filled by the caller before the
+    # fan-out, read by every worker) and the parallel trainer fits
+    # under TSan, with and without observability.
     ./build-tsan/tests/predict_plan_test \
         --gtest_filter='ParallelRecommenderTest.*:ParallelTrainerTest.*:SerialAndParallel/*'
     # The cross-predictor evaluation sweep under TSan: every engine
@@ -227,7 +229,8 @@ pass_ubsan() {
           -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
     cmake --build build-ubsan -j "$JOBS" \
           --target obs_test util_test regression_test robustness_test \
-                   roundtrip_test profile_cache_test io_test cloud_test
+                   roundtrip_test profile_cache_test io_test cloud_test \
+                   serve_test ceer_test predict_plan_test
 
     # Checked parsing must be UB-free on adversarial input:
     # overflowing integers, huge exponents, garbled bytes.
@@ -246,6 +249,14 @@ pass_ubsan() {
     ./build-ubsan/tests/io_test
     # The catalog CSV and CBF loaders.
     ./build-ubsan/tests/cloud_test
+    # The ceerd stack, whose reply writer copies borrowed columns
+    # straight into the frame buffer, and the recommender's (GPU, k)
+    # class table, serial and fanned out.
+    ./build-ubsan/tests/serve_test
+    ./build-ubsan/tests/ceer_test \
+        --gtest_filter='RecommenderClassSweepTest.*'
+    ./build-ubsan/tests/predict_plan_test \
+        --gtest_filter='ParallelRecommenderTest.*:SerialAndParallel/*'
 }
 
 pass_asan() {
